@@ -27,24 +27,31 @@ EXIT_BAD_TRACE = 3
 EXIT_SIMULATION = 4
 
 
+class _UnwritableOutput(Exception):
+    """A report path that cannot be written; ends the command with a usage error."""
+
+
 def _fail(message: str) -> None:
     print(f"wearsim: error: {message}", file=sys.stderr)
 
 
-def _open_out(path: str | None):
-    """Text sink for reports: the given path, or stdout when absent."""
-    if path is None:
-        return sys.stdout
-    return open(path, "w", newline="")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _write_out(path: str | None, emit) -> None:
-    sink = _open_out(path)
+    """Run `emit` on a text sink: the given path, or stdout when absent."""
     try:
-        emit(sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+        if path is None:
+            emit(sys.stdout)
+        else:
+            with open(path, "w", newline="") as sink:
+                emit(sink)
+    except OSError as err:
+        raise _UnwritableOutput(f"cannot write {path or 'stdout'}: {err}") from err
 
 
 def _load_valid_trace(path: str):
@@ -57,6 +64,9 @@ def _load_valid_trace(path: str):
         return None
     except TraceParseError as err:
         _fail(f"{path}: {err}")
+        return None
+    except UnicodeDecodeError as err:
+        _fail(f"{path}: not UTF-8 text: {err}")
         return None
     violations = validate_trace(trace)
     if violations:
@@ -181,6 +191,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_report(args) -> int:
     mode = CountingMode(args.count)
+    topn_paths: dict[str, str] = {}  # percell input -> its topn-csv path
+    for path in args.inputs:
+        if path.endswith(".csv"):
+            stem = os.path.splitext(os.path.basename(path))[0]
+            out_dir = args.out_dir or os.path.dirname(path) or "."
+            out_path = os.path.normpath(
+                os.path.join(out_dir, f"{stem}_top{args.topn}.csv"))
+            for other, other_out in topn_paths.items():
+                if other_out == out_path:
+                    _fail(f"{other} and {path} would both write {out_path}")
+                    return EXIT_USAGE
+            topn_paths[path] = out_path
     summaries: list[tuple[str, object]] = []
     for path in args.inputs:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -193,9 +215,7 @@ def _cmd_report(args) -> int:
                 with open(path, newline="") as f:
                     reads, writes = load_percell_csv(f)
                 counts = top_n_distribution(reads, writes, mode, args.topn)
-                out_dir = args.out_dir or os.path.dirname(path) or "."
-                out_path = os.path.join(out_dir, f"{stem}_top{args.topn}.csv")
-                with open(out_path, "w", newline="") as f:
+                with open(topn_paths[path], "w", newline="") as f:
                     write_topn_csv(counts, f)
             else:
                 _fail(f"{path}: expected a .json summary or .csv percell file")
@@ -206,9 +226,9 @@ def _cmd_report(args) -> int:
 
     def emit_table(sink):
         sink.write("baseline,candidate,avg_extension,max_extension\n")
-        for base_name, base_stats in summaries:
-            for cand_name, cand_stats in summaries:
-                if cand_name is base_name:
+        for base_index, (base_name, base_stats) in enumerate(summaries):
+            for cand_index, (cand_name, cand_stats) in enumerate(summaries):
+                if cand_index == base_index:
                     continue
                 try:
                     ext = lifespan_extension(base_stats, cand_stats)
@@ -249,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "random:<seed> | single")
     run.add_argument("--out", help="summary-json path (default: stdout)")
     run.add_argument("--percell", help="write percell-csv here")
-    run.add_argument("--topn", type=int, help="also compute the N busiest cells")
+    run.add_argument("--topn", type=_positive_int,
+                     help="also compute the N busiest cells")
     run.add_argument("--topn-out", help="topn-csv path (default: stdout)")
     run.set_defaults(func=_cmd_run)
 
@@ -284,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="post-process run outputs: top-N tables and extensions")
     report.add_argument("inputs", nargs="+",
                         help=".json summaries and/or .csv percell files")
-    report.add_argument("--topn", type=int, default=1000,
+    report.add_argument("--topn", type=_positive_int, default=1000,
                         help="ranks per percell input (default 1000)")
     report.add_argument("--count", choices=["accesses", "writes"],
                         default="accesses")
@@ -298,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnwritableOutput as err:
+        _fail(str(err))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,29 +1,29 @@
 """Trace replay against wear-counted memory with compacting collection.
 
-Dual-ring policies: the work ring serves bump allocation and all reads
-and writes; a collection copies every live object, in ascending order
-of its current base cell, to consecutive ring addresses on the idle
-ring starting at the policy's next start location, then swaps the ring
-roles.  Freed objects simply stop being copied; their cells are not
+Memory is split into equal spaces of wear-counted cells: two rings for
+the dual-ring policies, one space of the full memory size for the
+single-space baseline.  The work space serves bump allocation and all
+reads and writes; a collection copies every live object, in ascending
+order of its current base cell, to consecutive addresses of the target
+space starting at the policy's next start location, and the target
+becomes the work space.  The target is the next space in turn: the idle
+ring with two rings, the work space itself with one, where the start is
+always 0.  Freed objects simply stop being copied; their cells are not
 reused between collections.
-
-The single-space baseline keeps one flat space of the full memory size
-and slides live objects down toward address 0 instead.
 
 Wear accounting: application reads and writes touch exactly the cells
 they name.  When GC traffic is counted, every relocated cell costs one
-read at its source and one write at its destination; an object the
-single-space compactor leaves in place costs nothing.  Allocation,
-freeing, and the post-collection clean of the old work ring touch no
-cells at all.
+read at its source and one write at its destination; an object that
+already sits at its destination costs nothing, which only happens in a
+single space.  Allocation, freeing, and the post-collection clean of the
+old work space touch no cells at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from wearsim.memory import (AccessKind, DualRingMemory, SingleSpaceMemory,
-                            translate)
+from wearsim.memory import AccessKind, CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
 from wearsim.policy import Policy, PolicyState
 from wearsim.trace import Alloc, Free, Gc, Read, Trace, TraceEvent, Write
@@ -34,7 +34,7 @@ class SimulationError(Exception):
 
 
 class ObjectTooLargeError(SimulationError):
-    """Requested object exceeds what one ring (or the single space) can hold."""
+    """Requested object exceeds what one space can hold."""
 
 
 class OutOfMemoryError(SimulationError):
@@ -67,7 +67,6 @@ class EngineConfig:
     mem_size_cells: int
     policy: Policy
     count_gc_traffic: bool = True
-    auto_gc_on_alloc_failure: bool = True
 
     def __post_init__(self):
         if self.mem_size_cells < 4 or self.mem_size_cells % 2:
@@ -80,15 +79,11 @@ class Engine:
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        self.single = not config.policy.is_dual_ring
-        if self.single:
-            self.capacity = config.mem_size_cells
-            self.memory = SingleSpaceMemory(self.capacity)
-            self.policy_state = None
-        else:
-            self.capacity = config.mem_size_cells // 2
-            self.memory = DualRingMemory(self.capacity)
-            self.policy_state = PolicyState(config.policy)
+        space_count = 2 if config.policy.is_dual_ring else 1
+        self.capacity = config.mem_size_cells // space_count
+        self.spaces = [CellCounters(self.capacity) for _ in range(space_count)]
+        self.policy_state = PolicyState(config.policy)
+        self.work_ring = 0
         self.objects: dict[int, ObjectRecord] = {}
         self.live_start = 0   # base of the compacted block from the last GC
         self.live_len = 0     # its length, in cells
@@ -96,10 +91,6 @@ class Engine:
         self.free_cells = self.capacity
         self.gc_count = 0
         self.event_count = 0
-
-    @property
-    def work_ring(self) -> int:
-        return 0 if self.single else self.memory.work_ring
 
     def handle_alloc(self, object_id: int, size_cells: int) -> None:
         record = self.objects.get(object_id)
@@ -110,8 +101,7 @@ class Engine:
                 f"object {object_id} of {size_cells} cells exceeds capacity "
                 f"{self.capacity}")
         if size_cells > self.free_cells:
-            if self.config.auto_gc_on_alloc_failure:
-                self.handle_gc()
+            self.handle_gc()
             if size_cells > self.free_cells:
                 raise OutOfMemoryError(
                     f"cannot allocate {size_cells} cells for object {object_id}: "
@@ -136,43 +126,27 @@ class Engine:
             raise OutOfBoundsError(
                 f"{kind.value} of {length} cells at offset {offset} exceeds size "
                 f"{record.size_cells} of object {object_id}")
-        base = translate(record.base_cell, offset, self.capacity)
-        if self.single:
-            self.memory.record_range(base, length, kind)
-        else:
-            self.memory.record_range(record.ring, base, length, kind)
+        self.spaces[record.ring].record_range(
+            (record.base_cell + offset) % self.capacity, length, kind)
 
     def handle_gc(self) -> None:
         live = sorted((r for r in self.objects.values() if r.live),
                       key=lambda r: r.base_cell)
         count_traffic = self.config.count_gc_traffic
-        if self.single:
-            dest = 0
-            for record in live:
-                if record.base_cell != dest:
-                    if count_traffic:
-                        self.memory.record_range(
-                            record.base_cell, record.size_cells, AccessKind.READ)
-                        self.memory.record_range(
-                            dest, record.size_cells, AccessKind.WRITE)
-                    record.base_cell = dest
-                dest += record.size_cells
-            start = 0
-        else:
-            idle = self.memory.idle_ring
-            start = self.policy_state.take(idle, self.capacity)
-            dest = start
-            for record in live:
+        target = (self.work_ring + 1) % len(self.spaces)
+        start = self.policy_state.take(target, self.capacity)
+        dest = start
+        for record in live:
+            if (record.ring, record.base_cell) != (target, dest):
                 if count_traffic:
-                    self.memory.record_range(
-                        record.ring, record.base_cell, record.size_cells,
-                        AccessKind.READ)
-                    self.memory.record_range(
-                        idle, dest, record.size_cells, AccessKind.WRITE)
-                record.ring = idle
+                    self.spaces[record.ring].record_range(
+                        record.base_cell, record.size_cells, AccessKind.READ)
+                    self.spaces[target].record_range(
+                        dest, record.size_cells, AccessKind.WRITE)
+                record.ring = target
                 record.base_cell = dest
-                dest = (dest + record.size_cells) % self.capacity
-            self.memory.swap_roles()
+            dest = (dest + record.size_cells) % self.capacity
+        self.work_ring = target
         # "clean" the old work space: metadata only, no cell traffic
         self.objects = {r.object_id: r for r in live}
         self.live_start = start
@@ -199,8 +173,11 @@ class Engine:
         self.event_count += 1
 
     def build_report(self, mode: CountingMode = CountingMode.ACCESSES) -> WearReport:
-        reads = self.memory.per_cell_reads()
-        writes = self.memory.per_cell_writes()
+        reads: list[int] = []
+        writes: list[int] = []
+        for space in self.spaces:  # space r's cell c is at address r * capacity + c
+            reads += space.reads
+            writes += space.writes
         return WearReport(
             policy=self.config.policy.spec_string(),
             mem_size_cells=self.config.mem_size_cells,

@@ -1,9 +1,11 @@
-"""Per-cell wear counters over ring-shaped and flat memory spaces.
+"""Per-cell wear counters over one memory space.
 
-A ring wraps at cell granularity: the cell after the last one is cell 0,
-and object bodies may span the seam.  Counters only ever increase;
-nothing here models data contents, timing, or device internals, because
-wear is decided purely by how often each cell is touched.
+A space is a ring of cells: the cell after the last one is cell 0, and
+object bodies may span the seam.  The engine keeps one such space per
+semispace (two rings for the dual-ring policies, one space for the
+single-space baseline).  Counters only ever increase; nothing here
+models data contents, timing, or device internals, because wear is
+decided purely by how often each cell is touched.
 """
 
 from __future__ import annotations
@@ -16,13 +18,8 @@ class AccessKind(str, Enum):
     WRITE = "write"
 
 
-def translate(base_cell: int, offset: int, ring_size: int) -> int:
-    """Cell index `offset` cells past `base_cell`, wrapping around the ring."""
-    return (base_cell + offset) % ring_size
-
-
 class CellCounters:
-    """Read and write counters for one ring of cells."""
+    """Read and write counters for one space of cells."""
 
     def __init__(self, size_cells: int):
         if size_cells < 1:
@@ -49,63 +46,3 @@ class CellCounters:
             counters[cell] += 1
         for cell in range(0, end - size):
             counters[cell] += 1
-
-    def total(self) -> int:
-        return sum(self.reads) + sum(self.writes)
-
-
-class DualRingMemory:
-    """Two equal-sized rings of wear-counted cells plus a work/idle role bit.
-
-    Ring 0 is the lower half of the linear address space, ring 1 the
-    upper half.  Exactly one ring is the work ring at any time; the
-    other ring sits idle until it becomes the next compaction target.
-    """
-
-    def __init__(self, ring_size_cells: int):
-        if ring_size_cells < 2:
-            raise ValueError(f"ring_size_cells must be >= 2, got {ring_size_cells}")
-        self.ring_size_cells = ring_size_cells
-        self.rings = (CellCounters(ring_size_cells), CellCounters(ring_size_cells))
-        self.work_ring = 0
-
-    @property
-    def idle_ring(self) -> int:
-        return 1 - self.work_ring
-
-    def swap_roles(self) -> None:
-        self.work_ring = 1 - self.work_ring
-
-    def record_range(self, ring: int, base_cell: int, len_cells: int,
-                     kind: AccessKind) -> None:
-        self.rings[ring].record_range(base_cell, len_cells, kind)
-
-    def per_cell_reads(self) -> list[int]:
-        """Read counters for the full memory, ring 0 then ring 1."""
-        return self.rings[0].reads + self.rings[1].reads
-
-    def per_cell_writes(self) -> list[int]:
-        return self.rings[0].writes + self.rings[1].writes
-
-    def total(self) -> int:
-        return self.rings[0].total() + self.rings[1].total()
-
-
-class SingleSpaceMemory:
-    """One flat space of wear-counted cells, for the single-space baseline."""
-
-    def __init__(self, size_cells: int):
-        self.size_cells = size_cells
-        self.cells = CellCounters(size_cells)
-
-    def record_range(self, base_cell: int, len_cells: int, kind: AccessKind) -> None:
-        self.cells.record_range(base_cell, len_cells, kind)
-
-    def per_cell_reads(self) -> list[int]:
-        return list(self.cells.reads)
-
-    def per_cell_writes(self) -> list[int]:
-        return list(self.cells.writes)
-
-    def total(self) -> int:
-        return self.cells.total()

@@ -203,19 +203,3 @@ def write_compare_csv(rows: Iterable[tuple], sink) -> None:
     writer.writerow(COMPARE_CSV_HEADER)
     writer.writerows(rows)
 
-
-def export_report(report: WearReport, fmt: str, sink, *,
-                  top_n: int = 1000, trace_name: str = "-") -> None:
-    """Emit one report in any of the supported formats."""
-    if fmt == "summary-json":
-        write_summary_json(report, sink)
-    elif fmt == "percell-csv":
-        write_percell_csv(report, sink)
-    elif fmt == "topn-csv":
-        counts = top_n_distribution(report.per_cell_reads, report.per_cell_writes,
-                                    report.counting_mode, top_n)
-        write_topn_csv(counts, sink)
-    elif fmt == "compare-csv":
-        write_compare_csv([compare_csv_row(trace_name, report)], sink)
-    else:
-        raise ValueError(f"unknown report format '{fmt}'")

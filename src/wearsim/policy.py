@@ -14,7 +14,7 @@ Policy spec strings, as accepted on the command line:
     fraction:<f>    shift by floor(ring_size * f), f in [0, 1)
     none            always compact to the ring head
     random:<seed>   seeded uniform start per use (Mersenne Twister)
-    single          no dual ring: mark-compact one flat space to address 0
+    single          one space, compacted onto itself, always to address 0
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class Policy:
             return ring_size // 4
         if self.kind == "fraction":
             return math.floor(ring_size * self.fraction)
-        if self.kind == "none":
+        if self.kind in ("none", "single"):
             return 0
         raise PolicyError(f"policy '{self.kind}' has no constant shift")
 
@@ -122,16 +122,16 @@ def parse_policy(spec: str) -> Policy:
 
 
 class PolicyState:
-    """Per-ring progression of compaction start locations for one run.
+    """Per-space progression of compaction start locations for one run.
 
-    The random kind draws both rings' starts from one seeded stream, in
-    the order the rings are asked, so a whole run stays reproducible
-    from the seed.
+    The dual-ring kinds keep one progression per ring.  The single kind
+    has one space whose collection target is itself, and its start stays
+    at 0.  The random kind draws both rings' starts from one seeded
+    stream, in the order the rings are asked, so a whole run stays
+    reproducible from the seed.
     """
 
     def __init__(self, policy: Policy):
-        if not policy.is_dual_ring:
-            raise PolicyError("single-space policy keeps no ring start state")
         self.policy = policy
         self.next_start = [0, 0]  # first use of either ring starts at its head
         self._rng = random.Random(policy.seed) if policy.kind == "random" else None

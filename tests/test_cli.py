@@ -77,6 +77,32 @@ class TestRun:
         assert main(["run", "--trace", str(tmp_path / "nope.trace"),
                      "--mem-size", "20", "--policy", "golden"]) == 3
 
+    def test_non_utf8_trace_exits_3(self, tmp_path):
+        trace = tmp_path / "bad.trace"
+        trace.write_bytes(b"A 1 3\n\xff\xfe\n")
+        assert main(["run", "--trace", str(trace), "--mem-size", "20",
+                     "--policy", "golden"]) == 3
+
+    def test_topn_zero_is_usage_error_before_replay(self, tmp_path):
+        # the trace does not exist: reading it would exit 3, not 2
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--trace", str(tmp_path / "nope.trace"),
+                  "--mem-size", "20", "--policy", "golden", "--topn", "0"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--out", "--percell", "--topn-out"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        outputs = {"--out": str(tmp_path / "s.json"), "--topn-out":
+                   str(tmp_path / "top.csv"), "--percell": str(tmp_path / "c.csv")}
+        outputs[flag] = str(tmp_path / "missing" / "out")
+        argv = ["run", "--trace", trace, "--mem-size", "20", "--policy",
+                "golden", "--topn", "3"]
+        for name, path in outputs.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("wearsim: error: cannot write")
+
     def test_out_of_memory_exits_4(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", "A 1 4\nA 2 4\n")
         assert main(["run", "--trace", trace, "--mem-size", "8",
@@ -157,6 +183,19 @@ class TestCompare:
         assert main(["compare", "--trace", trace, "--mem-size", "20",
                      "--policies", "golden"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--out", "--extensions-out"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        outputs = {"--out": str(tmp_path / "cmp.csv"),
+                   "--extensions-out": str(tmp_path / "ext.csv")}
+        outputs[flag] = str(tmp_path / "missing" / "out")
+        argv = ["compare", "--trace", trace, "--mem-size", "20",
+                "--policies", "none,golden"]
+        for name, path in outputs.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("wearsim: error: cannot write")
+
     def test_leveling_ordering_on_hotspot(self, tmp_path, hotspot_trace):
         out = tmp_path / "cmp.csv"
         ext = tmp_path / "ext.csv"
@@ -225,6 +264,43 @@ class TestReport:
             rows = list(csv.reader(f))
         assert rows[0] == ["rank", "count"]
         assert len(rows) == 5
+
+    def test_same_stem_summaries_are_compared(self, tmp_path):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        summaries = []
+        for policy, name in (("none", "a"), ("golden", "b")):
+            (tmp_path / name).mkdir()
+            summaries.append(str(tmp_path / name / "x.json"))
+            assert main(["run", "--trace", trace, "--mem-size", "20",
+                         "--policy", policy, "--out", summaries[-1]]) == 0
+        table = tmp_path / "ext.csv"
+        assert main(["report", *summaries, "--out", str(table)]) == 0
+        with open(table) as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["baseline"], r["candidate"]) for r in rows] == [("x", "x")] * 2
+
+    def test_same_topn_path_is_refused_before_writing(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        percells = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            percells.append(str(tmp_path / name / "c.csv"))
+            assert main(["run", "--trace", trace, "--mem-size", "20",
+                         "--policy", "golden", "--out", str(tmp_path / "s.json"),
+                         "--percell", percells[-1]]) == 0
+        out_dir = tmp_path / "tops"
+        out_dir.mkdir()
+        table = tmp_path / "ext.csv"
+        assert main(["report", *percells, "--topn", "4", "--out-dir", str(out_dir),
+                     "--out", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert percells[0] in err and percells[1] in err
+        assert list(out_dir.iterdir()) == [] and not table.exists()
+
+    def test_topn_zero_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["report", str(tmp_path / "nope.csv"), "--topn", "0"])
+        assert err.value.code == 2
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

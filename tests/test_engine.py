@@ -5,14 +5,20 @@ from wearsim.engine import (Engine, EngineConfig, InvalidFreeError,
                             ObjectTooLargeError, OutOfBoundsError,
                             OutOfMemoryError, SimulationError,
                             UseAfterFreeError, replay)
+from wearsim.memory import AccessKind
 from wearsim.metrics import CountingMode
 from wearsim.policy import Policy, parse_policy
 from wearsim.trace import Alloc, Free, Gc, Read, Trace, Write
 from wearsim.workload import WorkloadSpec, generate
 
 
-def engine_for(mem=20, policy="golden", **kwargs):
-    return Engine(EngineConfig(mem, parse_policy(policy), **kwargs))
+def engine_for(mem=20, policy="golden"):
+    return Engine(EngineConfig(mem, parse_policy(policy)))
+
+
+def cell_total(engine):
+    """Reads plus writes over every cell of every space."""
+    return sum(sum(space.reads) + sum(space.writes) for space in engine.spaces)
 
 
 class TestConfig:
@@ -35,7 +41,7 @@ class TestAlloc:
         engine.handle_alloc(1, 3)
         assert engine.objects[1].base_cell == 0
         assert engine.alloc_cursor == 3
-        assert engine.memory.total() == 0  # allocation touches no cells
+        assert cell_total(engine) == 0  # allocation touches no cells
 
     def test_object_larger_than_ring(self):
         with pytest.raises(ObjectTooLargeError):
@@ -56,13 +62,13 @@ class TestAlloc:
         assert engine.gc_count == 1
         assert engine.objects[2].live
 
-    def test_no_auto_gc_when_disabled(self):
-        engine = engine_for(20, auto_gc_on_alloc_failure=False)
-        engine.handle_alloc(1, 6)
+    def test_exact_fit_after_gc(self):
+        engine = engine_for(20)
+        engine.handle_alloc(1, 4)
         engine.handle_free(1)
-        with pytest.raises(OutOfMemoryError):
-            engine.handle_alloc(2, 6)
-        assert engine.gc_count == 0
+        engine.handle_alloc(2, 10)  # the whole ring, free only after the GC
+        assert engine.gc_count == 1
+        assert engine.free_cells == 0
 
     def test_alloc_of_live_object_rejected(self):
         engine = engine_for(20)
@@ -84,7 +90,7 @@ class TestFree:
         engine.handle_alloc(1, 3)
         engine.handle_free(1)
         assert not engine.objects[1].live
-        assert engine.memory.total() == 0
+        assert cell_total(engine) == 0
 
     def test_free_of_unknown_object(self):
         with pytest.raises(InvalidFreeError):
@@ -102,7 +108,7 @@ class TestFree:
         engine.handle_alloc(1, 3)
         engine.handle_free(1)
         engine.handle_gc()
-        assert engine.memory.total() == 0
+        assert cell_total(engine) == 0
         assert engine.gc_count == 1
         assert engine.work_ring == 1  # roles still swap on an empty collection
 
@@ -118,9 +124,9 @@ class TestAccess:
         engine.handle_gc()  # to ring 1 at 8
         record = engine.objects[1]
         assert (record.ring, record.base_cell) == (1, 8)
-        before = list(engine.memory.rings[1].writes)
+        before = list(engine.spaces[1].writes)
         engine.process(Write(1, 0, 5))
-        after = engine.memory.rings[1].writes
+        after = engine.spaces[1].writes
         touched = {c for c in range(10) if after[c] != before[c]}
         assert touched == {8, 9, 0, 1, 2}
 
@@ -128,8 +134,9 @@ class TestAccess:
         engine = engine_for(20)
         engine.handle_alloc(1, 4)
         engine.process(Read(1, 0, 4))
-        assert sum(engine.memory.per_cell_writes()) == 0
-        assert sum(engine.memory.per_cell_reads()) == 4
+        report = engine.build_report()
+        assert sum(report.per_cell_writes) == 0
+        assert sum(report.per_cell_reads) == 4
 
     def test_use_after_free(self):
         engine = engine_for(20)
@@ -154,8 +161,8 @@ class TestGc:
         engine.handle_gc()
         record = engine.objects[1]
         assert (record.ring, record.base_cell) == (1, 0)
-        assert engine.memory.rings[0].reads == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0]
-        assert engine.memory.rings[1].writes == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert engine.spaces[0].reads == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0]
+        assert engine.spaces[1].writes == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
         assert engine.work_ring == 1
         assert_post_gc_invariants(engine)
 
@@ -177,8 +184,17 @@ class TestGc:
         engine.handle_gc()
         assert engine.gc_count == 1
         assert engine.live_len == 0
-        assert engine.memory.total() == 0
+        assert cell_total(engine) == 0
         assert engine.work_ring == 1
+
+    def test_work_space_alternates(self):
+        dual, single = engine_for(20), engine_for(20, "single")
+        rings = []
+        for _ in range(3):
+            dual.handle_gc()
+            single.handle_gc()
+            rings.append((dual.work_ring, single.work_ring))
+        assert rings == [(1, 0), (0, 0), (1, 0)]
 
     def test_second_use_of_a_ring_starts_at_shift(self):
         engine = engine_for(720)  # ring of 360, golden shift 137
@@ -201,7 +217,7 @@ class TestSingleSpace:
         engine = engine_for(20, "single")
         engine.handle_alloc(1, 3)
         engine.handle_gc()  # already at 0: no traffic
-        assert engine.memory.total() == 0
+        assert cell_total(engine) == 0
         assert engine.objects[1].base_cell == 0
 
     def test_sliding_object_records_copy(self):
@@ -211,9 +227,9 @@ class TestSingleSpace:
         engine.handle_free(1)
         engine.handle_gc()
         assert engine.objects[2].base_cell == 0
-        assert engine.memory.per_cell_reads()[3:5] == [1, 1]
-        assert engine.memory.per_cell_writes()[0:2] == [1, 1]
-        assert engine.memory.total() == 4
+        assert engine.spaces[0].reads[3:5] == [1, 1]
+        assert engine.spaces[0].writes[0:2] == [1, 1]
+        assert cell_total(engine) == 4
 
     def test_uses_whole_memory_as_one_space(self):
         engine = engine_for(8, "single")
@@ -221,6 +237,23 @@ class TestSingleSpace:
         assert engine.objects[1].base_cell == 0
         with pytest.raises(ObjectTooLargeError):
             engine.handle_alloc(2, 9)
+
+
+class TestReportLayout:
+    def test_ring_one_cell_follows_ring_zero(self):
+        engine = engine_for(8)  # two rings of 4 cells
+        engine.spaces[0].record_range(0, 2, AccessKind.WRITE)
+        engine.spaces[1].record_range(3, 1, AccessKind.WRITE)
+        report = engine.build_report()
+        assert report.per_cell_writes == [1, 1, 0, 0, 0, 0, 0, 1]
+        assert report.per_cell_reads == [0] * 8
+
+    def test_single_space_cell_is_its_address(self):
+        engine = engine_for(6, "single")
+        engine.spaces[0].record_range(3, 2, AccessKind.READ)
+        report = engine.build_report()
+        assert report.per_cell_reads == [0, 0, 0, 1, 1, 0]
+        assert report.per_cell_writes == [0] * 6
 
 
 class TestReplay:

@@ -1,0 +1,71 @@
+"""Differential test: the engine against the naive reference replayer.
+
+Generated traces are replayed under every policy kind, with and without
+GC traffic, in the trace's suggested memory and in tighter memories down
+to ones that run out.  Both sides must report the same per-cell counts
+and collection count, or fail on the same event with the same error.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reference_replayer import reference_replay
+from wearsim.engine import (EngineConfig, ObjectTooLargeError,
+                            OutOfMemoryError, replay)
+from wearsim.policy import parse_policy
+from wearsim.trace import Trace
+from wearsim.workload import PATTERNS, WorkloadSpec, generate
+
+REFERENCE_MESSAGES = {OutOfMemoryError: "out of memory",
+                      ObjectTooLargeError: "object too large"}
+
+specs = st.builds(
+    WorkloadSpec,
+    pattern=st.sampled_from(PATTERNS),
+    object_count=st.integers(1, 12),
+    op_count=st.integers(1, 250),
+    mean_object_size=st.integers(1, 8),
+    gc_every=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+#: 1 keeps the #mem header; larger divisors tighten it down to memories too
+#: small for the trace.
+mem_divisors = st.one_of(st.just(1), st.integers(2, 12))
+
+
+def assert_same_counts(report, reference):
+    assert report.per_cell_reads == reference.reads
+    assert report.per_cell_writes == reference.writes
+    assert report.gc_count == reference.gc_count
+
+
+# Policy and GC traffic are a fixed grid, so that every pair is exercised
+# in each run; Hypothesis alone draws some pairs rarely.
+@pytest.mark.parametrize("count_gc_traffic", [True, False])
+@pytest.mark.parametrize(
+    "kind", ["golden", "quarter", "fraction:0.3", "none", "random", "single"])
+@settings(max_examples=25, deadline=None)
+@given(spec=specs, mem_divisor=mem_divisors, random_seed=st.integers(0, 1000))
+def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
+                                  random_seed):
+    policy = f"random:{random_seed}" if kind == "random" else kind
+    trace = generate(spec)
+    mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
+    config = EngineConfig(mem, parse_policy(policy),
+                          count_gc_traffic=count_gc_traffic)
+
+    def reference(events):
+        return reference_replay(Trace(events), mem, policy, count_gc_traffic)
+
+    try:
+        report = replay(trace, config)
+    except (OutOfMemoryError, ObjectTooLargeError) as err:
+        index = int(re.match(r"event (\d+):", str(err)).group(1))
+        prefix = trace.events[:index]
+        assert_same_counts(replay(Trace(prefix), config), reference(prefix))
+        with pytest.raises(ValueError, match=REFERENCE_MESSAGES[type(err)]):
+            reference(trace.events[:index + 1])
+        return
+    assert_same_counts(report, reference(trace.events))

@@ -108,9 +108,8 @@ class TestStartProgression:
         # interleaved ring use: each ring sees its own 0, 137, 274, ...
         assert [state.take(r, 360) for r in (0, 1, 0, 1, 0)] == [0, 0, 137, 137, 274]
 
-    def test_single_space_has_no_state(self):
-        with pytest.raises(PolicyError):
-            PolicyState(Policy("single"))
+    def test_single_always_head(self):
+        assert start_sequence(Policy("single"), 512, 6) == [0] * 6
 
     def test_count_must_be_positive(self):
         with pytest.raises(PolicyError):
