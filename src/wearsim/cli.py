@@ -7,8 +7,11 @@ malformed report input, 4 simulation error (e.g. out of memory).
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
+from collections import Counter
+from functools import partial
 
 from wearsim.engine import EngineConfig, SimulationError, replay
 from wearsim.metrics import (CountingMode, UndefinedExtensionError,
@@ -191,41 +194,45 @@ def _cmd_gen(args) -> int:
 
 def _cmd_report(args) -> int:
     mode = CountingMode(args.count)
+    stems = {path: os.path.splitext(os.path.basename(path))[0] for path in args.inputs}
     topn_paths: dict[str, str] = {}  # percell input -> its topn-csv path
     for path in args.inputs:
         if path.endswith(".csv"):
-            stem = os.path.splitext(os.path.basename(path))[0]
             out_dir = args.out_dir or os.path.dirname(path) or "."
             out_path = os.path.normpath(
-                os.path.join(out_dir, f"{stem}_top{args.topn}.csv"))
+                os.path.join(out_dir, f"{stems[path]}_top{args.topn}.csv"))
             for other, other_out in topn_paths.items():
                 if other_out == out_path:
                     _fail(f"{other} and {path} would both write {out_path}")
                     return EXIT_USAGE
             topn_paths[path] = out_path
+    # a summary is labelled by its stem unless another summary path shares it
+    stem_uses = Counter(stems[path] for path in set(args.inputs)
+                        if path.endswith(".json"))
     summaries: list[tuple[str, object]] = []
     for path in args.inputs:
-        stem = os.path.splitext(os.path.basename(path))[0]
         try:
             if path.endswith(".json"):
                 with open(path) as f:
                     _, stats = load_summary(f)
-                summaries.append((stem, stats))
+                label = stems[path] if stem_uses[stems[path]] == 1 else path
+                summaries.append((label, stats))
             elif path.endswith(".csv"):
                 with open(path, newline="") as f:
                     reads, writes = load_percell_csv(f)
                 counts = top_n_distribution(reads, writes, mode, args.topn)
-                with open(topn_paths[path], "w", newline="") as f:
-                    write_topn_csv(counts, f)
             else:
                 _fail(f"{path}: expected a .json summary or .csv percell file")
                 return EXIT_BAD_TRACE
         except (OSError, ValueError, KeyError) as err:
             _fail(f"{path}: {err}")
             return EXIT_BAD_TRACE
+        if path in topn_paths:
+            _write_out(topn_paths[path], partial(write_topn_csv, counts))
 
     def emit_table(sink):
-        sink.write("baseline,candidate,avg_extension,max_extension\n")
+        writer = csv.writer(sink, lineterminator="\n")  # labels may hold commas
+        writer.writerow(("baseline", "candidate", "avg_extension", "max_extension"))
         for base_index, (base_name, base_stats) in enumerate(summaries):
             for cand_index, (cand_name, cand_stats) in enumerate(summaries):
                 if cand_index == base_index:
@@ -236,8 +243,8 @@ def _cmd_report(args) -> int:
                     print(f"wearsim: skipping {base_name} vs {cand_name}: "
                           "zero candidate statistic", file=sys.stderr)
                     continue
-                sink.write(f"{base_name},{cand_name},{ext.avg_extension!r},"
-                           f"{ext.max_extension!r}\n")
+                writer.writerow(
+                    (base_name, cand_name, ext.avg_extension, ext.max_extension))
 
     _write_out(args.out, emit_table)
     return EXIT_OK

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from wearsim.memory import AccessKind, CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
 from wearsim.policy import Policy, PolicyState
-from wearsim.trace import Alloc, Free, Gc, Read, Trace, TraceEvent, Write
+from wearsim.trace import Trace, TraceEvent
 
 
 class SimulationError(Exception):
@@ -156,17 +156,17 @@ class Engine:
         self.gc_count += 1
 
     def process(self, event: TraceEvent) -> None:
-        if isinstance(event, Alloc):
-            self.handle_alloc(event.object_id, event.size_cells)
-        elif isinstance(event, Free):
-            self.handle_free(event.object_id)
-        elif isinstance(event, Read):
-            self.handle_access(event.object_id, event.offset_cells,
-                               event.len_cells, AccessKind.READ)
-        elif isinstance(event, Write):
-            self.handle_access(event.object_id, event.offset_cells,
-                               event.len_cells, AccessKind.WRITE)
-        elif isinstance(event, Gc):
+        # handlers are looked up per call, so wrappers set on the class see all
+        opcode = event[0]
+        if opcode == "A":
+            self.handle_alloc(event[1], event[2])
+        elif opcode == "F":
+            self.handle_free(event[1])
+        elif opcode == "R":
+            self.handle_access(event[1], event[2], event[3], AccessKind.READ)
+        elif opcode == "W":
+            self.handle_access(event[1], event[2], event[3], AccessKind.WRITE)
+        elif opcode == "G":
             self.handle_gc()
         else:
             raise SimulationError(f"unknown event {event!r}")

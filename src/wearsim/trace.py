@@ -18,6 +18,11 @@ Wire format (UTF-8 text, LF line endings)::
     G                      garbage-collection trigger
 
 Fields are decimal unsigned integers separated by single spaces.
+
+In memory an event is the tuple of its line's fields, opcode first:
+``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
+``("W", id, off, len)`` or ``("G",)``.  validate_trace reports a
+hand-built tuple that no line could produce as a ``malformed-event``.
 """
 
 from __future__ import annotations
@@ -37,57 +42,8 @@ class TraceParseError(ValueError):
         self.line_no = line_no
 
 
-def _check_uint(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-@dataclass(frozen=True)
-class Alloc:
-    object_id: int
-    size_cells: int
-
-    def __post_init__(self):
-        _check_uint("object_id", self.object_id)
-        if self.size_cells < 1:
-            raise ValueError(f"size_cells must be >= 1, got {self.size_cells}")
-
-
-@dataclass(frozen=True)
-class Free:
-    object_id: int
-
-    def __post_init__(self):
-        _check_uint("object_id", self.object_id)
-
-
-@dataclass(frozen=True)
-class _Access:
-    object_id: int
-    offset_cells: int
-    len_cells: int
-
-    def __post_init__(self):
-        _check_uint("object_id", self.object_id)
-        _check_uint("offset_cells", self.offset_cells)
-        if self.len_cells < 1:
-            raise ValueError(f"len_cells must be >= 1, got {self.len_cells}")
-
-
-class Read(_Access):
-    """Read of a cell range within a live object."""
-
-
-class Write(_Access):
-    """Write of a cell range within a live object."""
-
-
-@dataclass(frozen=True)
-class Gc:
-    """Explicit garbage-collection trigger."""
-
-
-TraceEvent = Union[Alloc, Free, Read, Write, Gc]
+#: A trace event: the tuple of its wire-format line's fields.
+TraceEvent = tuple
 
 
 @dataclass(frozen=True)
@@ -149,19 +105,11 @@ def _parse_event(line: str, line_no: int) -> TraceEvent:
     if len(fields) != arity:
         raise TraceParseError(
             f"expected {arity} fields for '{opcode}', got {len(fields)}", line_no)
-    args = [_parse_uint(token, line_no) for token in fields[1:]]
-    if opcode == "A":
-        if args[1] < 1:
-            raise TraceParseError("size must be >= 1", line_no)
-        return Alloc(args[0], args[1])
-    if opcode == "F":
-        return Free(args[0])
-    if opcode in ("R", "W"):
-        if args[2] < 1:
-            raise TraceParseError("length must be >= 1", line_no)
-        cls = Read if opcode == "R" else Write
-        return cls(args[0], args[1], args[2])
-    return Gc()
+    event = (opcode, *[_parse_uint(token, line_no) for token in fields[1:]])
+    if arity > 2 and event[-1] < 1:
+        raise TraceParseError(
+            f"{'size' if opcode == 'A' else 'length'} must be >= 1", line_no)
+    return event
 
 
 def parse_trace(source: TraceSource) -> Trace:
@@ -192,54 +140,61 @@ def parse_trace(source: TraceSource) -> Trace:
     return Trace(events, TraceHeader(version, suggested))
 
 
+def _malformation(event) -> str | None:
+    """Why `event` is not the tuple of a wire-format line, or None if it is."""
+    opcode = event[0] if type(event) is tuple and event else None
+    arity = _OPCODE_ARITY.get(opcode) if type(opcode) is str else None
+    if arity is None or len(event) != arity:
+        return f"not a trace event: {event!r}"
+    for value in event[1:]:
+        if type(value) is not int or value < 0:
+            return f"field {value!r} of {event!r} is not an unsigned integer"
+    if arity > 2 and event[-1] < 1:
+        return f"{'size' if opcode == 'A' else 'length'} must be >= 1"
+    return None
+
+
 def validate_trace(trace: Trace) -> list[Violation]:
     """Replay the live-object rules over the events; return all violations.
 
     Order-sensitive and deterministic.  A violating event does not
     change the tracked live set, so later events are judged as if the
-    offender had been dropped.
+    offender had been dropped.  A ``malformed-event`` is judged by no
+    other rule.
     """
     violations: list[Violation] = []
     live: dict[int, int] = {}
     for index, event in enumerate(trace.events):
-        if isinstance(event, Alloc):
-            if event.object_id in live:
+        problem = _malformation(event)
+        if problem is not None:
+            violations.append(Violation(index, "malformed-event", problem))
+            continue
+        opcode = event[0]
+        if opcode == "A":
+            if event[1] in live:
                 violations.append(Violation(
-                    index, "alloc-live", f"alloc of live object {event.object_id}"))
+                    index, "alloc-live", f"alloc of live object {event[1]}"))
             else:
-                live[event.object_id] = event.size_cells
-        elif isinstance(event, Free):
-            if event.object_id not in live:
+                live[event[1]] = event[2]
+        elif opcode == "F":
+            if event[1] not in live:
                 violations.append(Violation(
-                    index, "free-dead", f"free of dead object {event.object_id}"))
+                    index, "free-dead", f"free of dead object {event[1]}"))
             else:
-                del live[event.object_id]
-        elif isinstance(event, (Read, Write)):
-            kind = "read" if isinstance(event, Read) else "write"
-            size = live.get(event.object_id)
+                del live[event[1]]
+        elif opcode != "G":
+            _, object_id, offset, length = event
+            kind = "read" if opcode == "R" else "write"
+            size = live.get(object_id)
             if size is None:
                 violations.append(Violation(
-                    index, "access-dead", f"{kind} of dead object {event.object_id}"))
-            elif event.offset_cells + event.len_cells > size:
+                    index, "access-dead", f"{kind} of dead object {object_id}"))
+            elif offset + length > size:
                 violations.append(Violation(
                     index, "out-of-bounds",
-                    f"{kind} of {event.len_cells} cells at offset {event.offset_cells} "
-                    f"exceeds size {size} of object {event.object_id}"))
+                    f"{kind} of {length} cells at offset {offset} "
+                    f"exceeds size {size} of object {object_id}"))
     return violations
-
-
-def _format_event(event: TraceEvent) -> str:
-    if isinstance(event, Alloc):
-        return f"A {event.object_id} {event.size_cells}"
-    if isinstance(event, Free):
-        return f"F {event.object_id}"
-    if isinstance(event, Read):
-        return f"R {event.object_id} {event.offset_cells} {event.len_cells}"
-    if isinstance(event, Write):
-        return f"W {event.object_id} {event.offset_cells} {event.len_cells}"
-    if isinstance(event, Gc):
-        return "G"
-    raise TypeError(f"not a trace event: {event!r}")
 
 
 def format_trace(trace: Trace) -> str:
@@ -247,7 +202,7 @@ def format_trace(trace: Trace) -> str:
     lines = [f"{MAGIC_PREFIX}{trace.header.format_version}"]
     if trace.header.suggested_mem_size_cells is not None:
         lines.append(f"#mem {trace.header.suggested_mem_size_cells}")
-    lines.extend(_format_event(event) for event in trace.events)
+    lines.extend(" ".join(map(str, event)) for event in trace.events)
     return "\n".join(lines) + "\n"
 
 

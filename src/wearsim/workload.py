@@ -23,8 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from wearsim.trace import (Alloc, Free, Gc, Read, Trace, TraceEvent,
-                           TraceHeader, Write)
+from wearsim.trace import Trace, TraceEvent, TraceHeader
 
 PATTERNS = ("churn", "hotspot", "loop")
 
@@ -86,7 +85,7 @@ class _Generator:
         self.events.append(event)
         self.body_count += 1
         if self.body_count % self.spec.gc_every == 0:
-            self.events.append(Gc())
+            self.events.append(("G",))
 
     def alloc(self) -> int:
         object_id = self.next_id
@@ -96,19 +95,19 @@ class _Generator:
         self.live_cells += size
         self.peak_live_cells = max(self.peak_live_cells, self.live_cells)
         self.max_object_cells = max(self.max_object_cells, size)
-        self.emit(Alloc(object_id, size))
+        self.emit(("A", object_id, size))
         return object_id
 
     def free(self, object_id: int) -> None:
         self.live_cells -= self.live.pop(object_id)
-        self.emit(Free(object_id))
+        self.emit(("F", object_id))
 
     def access(self, object_id: int) -> None:
         size = self.live[object_id]
         offset = self.rng.randrange(size)
         length = self.rng.randint(1, size - offset)
-        cls = Write if self.rng.random() < 0.5 else Read
-        self.emit(cls(object_id, offset, length))
+        opcode = "W" if self.rng.random() < 0.5 else "R"
+        self.emit((opcode, object_id, offset, length))
 
     def pick_live(self) -> int:
         return self.rng.choice(list(self.live))
@@ -141,7 +140,7 @@ class _Generator:
         position = 0
         while self.body_count < self.spec.op_count:
             object_id = ids[position % len(ids)]
-            self.emit(Write(object_id, 0, self.live[object_id]))
+            self.emit(("W", object_id, 0, self.live[object_id]))
             position += 1
 
     def suggested_mem(self) -> int:

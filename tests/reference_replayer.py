@@ -5,17 +5,18 @@ purpose: free space and allocation positions are recomputed from
 scratch at every event instead of being tracked with cursors, counters
 live in plain dicts, and the deterministic policies derive each start
 location in closed form (k * shift mod N) rather than by stateful
-accumulation.  The two implementations share nothing but the trace
-event types, so cell-for-cell agreement is meaningful evidence.
+accumulation, and the golden shift is found by integer bisection where
+the engine uses isqrt.  The two implementations share nothing but the
+trace format (an event is the tuple of its line's fields), so
+cell-for-cell agreement is meaningful evidence.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
-from wearsim.trace import Alloc, Free, Gc, Read, Trace, Write
+from wearsim.trace import Trace
 
 
 @dataclass
@@ -29,7 +30,24 @@ class ReferenceResult:
 
 def app_rw_cells(trace: Trace) -> int:
     """Total cells named by the trace's read and write events."""
-    return sum(e.len_cells for e in trace.events if isinstance(e, (Read, Write)))
+    return sum(e[3] for e in trace.events if e[0] in ("R", "W"))
+
+
+def bisected_golden_shift(capacity: int) -> int:
+    """floor(capacity * (3 - sqrt(5)) / 2), found by integer bisection.
+
+    That floor is the largest s in [0, capacity) with
+    (3 * capacity - 2 * s) ** 2 > 5 * capacity ** 2; the test holds at
+    s = 0, fails at s = capacity, and turns false only once.
+    """
+    low, high = 0, capacity
+    while high - low > 1:
+        mid = (low + high) // 2
+        if (3 * capacity - 2 * mid) ** 2 > 5 * capacity * capacity:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 def reference_replay(trace: Trace, mem_size: int, policy_spec: str,
@@ -57,7 +75,7 @@ def reference_replay(trace: Trace, mem_size: int, policy_spec: str,
 
     def shift() -> int:
         if kind == "golden":
-            return int(capacity * (3 - math.sqrt(5)) / 2)
+            return bisected_golden_shift(capacity)
         if kind == "quarter":
             return capacity // 4
         if kind == "fraction":
@@ -110,26 +128,28 @@ def reference_replay(trace: Trace, mem_size: int, policy_spec: str,
         return capacity - anchor_live - sum(allocs_since_gc)
 
     for event in trace.events:
-        if isinstance(event, Alloc):
-            if event.size_cells > capacity:
+        opcode = event[0]
+        if opcode == "A":
+            _, object_id, size = event
+            if size > capacity:
                 raise ValueError("object too large")
-            if event.size_cells > free_now():
+            if size > free_now():
                 if auto_gc:
                     run_gc()
-                if event.size_cells > free_now():
+                if size > free_now():
                     raise ValueError("out of memory")
             base = (anchor_start + anchor_live + sum(allocs_since_gc)) % capacity
-            objects[event.object_id] = {
-                "size": event.size_cells, "ring": work, "base": base, "live": True}
-            allocs_since_gc.append(event.size_cells)
-        elif isinstance(event, Free):
-            objects[event.object_id]["live"] = False
-        elif isinstance(event, (Read, Write)):
-            rec = objects[event.object_id]
-            table = reads if isinstance(event, Read) else writes
-            record(table, rec["ring"],
-                   (rec["base"] + event.offset_cells) % capacity, event.len_cells)
-        elif isinstance(event, Gc):
+            objects[object_id] = {
+                "size": size, "ring": work, "base": base, "live": True}
+            allocs_since_gc.append(size)
+        elif opcode == "F":
+            objects[event[1]]["live"] = False
+        elif opcode in ("R", "W"):
+            _, object_id, offset, length = event
+            rec = objects[object_id]
+            table = reads if opcode == "R" else writes
+            record(table, rec["ring"], (rec["base"] + offset) % capacity, length)
+        elif opcode == "G":
             run_gc()
 
     def as_list(table) -> list[int]:

@@ -268,7 +268,7 @@ class TestReport:
     def test_same_stem_summaries_are_compared(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         summaries = []
-        for policy, name in (("none", "a"), ("golden", "b")):
+        for policy, name in (("none", "a,1"), ("golden", "b")):
             (tmp_path / name).mkdir()
             summaries.append(str(tmp_path / name / "x.json"))
             assert main(["run", "--trace", trace, "--mem-size", "20",
@@ -277,7 +277,8 @@ class TestReport:
         assert main(["report", *summaries, "--out", str(table)]) == 0
         with open(table) as f:
             rows = list(csv.DictReader(f))
-        assert [(r["baseline"], r["candidate"]) for r in rows] == [("x", "x")] * 2
+        assert [(r["baseline"], r["candidate"]) for r in rows] == [
+            (summaries[0], summaries[1]), (summaries[1], summaries[0])]
 
     def test_same_topn_path_is_refused_before_writing(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
@@ -296,6 +297,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert percells[0] in err and percells[1] in err
         assert list(out_dir.iterdir()) == [] and not table.exists()
+
+    def test_unwritable_out_dir_is_usage_error(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        percell = tmp_path / "c.csv"
+        assert main(["run", "--trace", trace, "--mem-size", "20",
+                     "--policy", "golden", "--out", str(tmp_path / "s.json"),
+                     "--percell", str(percell)]) == 0
+        missing = tmp_path / "nodir"
+        assert main(["report", str(percell), "--out-dir", str(missing),
+                     "--out", str(tmp_path / "ext.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {missing / 'c_top1000.csv'}" in err
 
     def test_topn_zero_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -8,7 +8,7 @@ from wearsim.engine import (Engine, EngineConfig, InvalidFreeError,
 from wearsim.memory import AccessKind
 from wearsim.metrics import CountingMode
 from wearsim.policy import Policy, parse_policy
-from wearsim.trace import Alloc, Free, Gc, Read, Trace, Write
+from wearsim.trace import Trace
 from wearsim.workload import WorkloadSpec, generate
 
 
@@ -125,7 +125,7 @@ class TestAccess:
         record = engine.objects[1]
         assert (record.ring, record.base_cell) == (1, 8)
         before = list(engine.spaces[1].writes)
-        engine.process(Write(1, 0, 5))
+        engine.process(("W", 1, 0, 5))
         after = engine.spaces[1].writes
         touched = {c for c in range(10) if after[c] != before[c]}
         assert touched == {8, 9, 0, 1, 2}
@@ -133,7 +133,7 @@ class TestAccess:
     def test_read_does_not_touch_write_counters(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 4)
-        engine.process(Read(1, 0, 4))
+        engine.process(("R", 1, 0, 4))
         report = engine.build_report()
         assert sum(report.per_cell_writes) == 0
         assert sum(report.per_cell_reads) == 4
@@ -143,13 +143,13 @@ class TestAccess:
         engine.handle_alloc(1, 2)
         engine.handle_free(1)
         with pytest.raises(UseAfterFreeError):
-            engine.process(Write(1, 0, 1))
+            engine.process(("W", 1, 0, 1))
 
     def test_out_of_bounds(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 3)
         with pytest.raises(OutOfBoundsError):
-            engine.process(Read(1, 2, 2))
+            engine.process(("R", 1, 2, 2))
 
 
 class TestGc:
@@ -205,7 +205,7 @@ class TestGc:
         assert engine.objects[1].base_cell == 137
 
     def test_no_gc_traffic_mode(self):
-        trace = Trace([Alloc(1, 3), Write(1, 0, 3), Gc(), Write(1, 0, 3)])
+        trace = Trace([("A", 1, 3), ("W", 1, 0, 3), ("G",), ("W", 1, 0, 3)])
         config = EngineConfig(20, Policy("golden"), count_gc_traffic=False)
         report = replay(trace, config)
         assert sum(report.per_cell_writes) == 6
@@ -264,7 +264,7 @@ class TestReplay:
         assert report.event_count == 0
 
     def test_hand_checked_totals(self):
-        trace = Trace([Alloc(1, 3), Write(1, 0, 3), Gc(), Write(1, 0, 3)])
+        trace = Trace([("A", 1, 3), ("W", 1, 0, 3), ("G",), ("W", 1, 0, 3)])
         report = replay(trace, EngineConfig(20, Policy("golden")))
         assert sum(report.per_cell_writes) == 9  # 3 app + 3 GC copy + 3 app
         assert sum(report.per_cell_reads) == 3   # GC copy source
@@ -276,9 +276,25 @@ class TestReplay:
         assert replay(trace, config) == replay(trace, config)
 
     def test_errors_name_the_event_index(self):
-        trace = Trace([Alloc(1, 2), Free(1), Write(1, 0, 1)])
+        trace = Trace([("A", 1, 2), ("F", 1), ("W", 1, 0, 1)])
         with pytest.raises(UseAfterFreeError, match="event 2:"):
             replay(trace, EngineConfig(20, Policy("golden")))
+
+    def test_unknown_opcode_is_simulation_error(self):
+        with pytest.raises(SimulationError, match="event 0: unknown event"):
+            replay(Trace([("X", 1)]), EngineConfig(20, Policy("golden")))
+
+    def test_dispatch_finds_handlers_wrapped_on_the_class(self, monkeypatch):
+        calls = []
+        for name in ("handle_alloc", "handle_free", "handle_access", "handle_gc"):
+            def wrapped(self, *args, _name=name, _inner=getattr(Engine, name)):
+                calls.append(_name)
+                return _inner(self, *args)
+            monkeypatch.setattr(Engine, name, wrapped)
+        trace = Trace([("A", 1, 2), ("W", 1, 0, 1), ("R", 1, 1, 1), ("G",), ("F", 1)])
+        replay(trace, EngineConfig(20, Policy("golden")))
+        assert calls == ["handle_alloc", "handle_access", "handle_access",
+                         "handle_gc", "handle_free"]
 
     def test_live_set_is_policy_independent(self):
         trace = generate(WorkloadSpec("churn", 8, 600, 3, gc_every=37, seed=9))

@@ -11,10 +11,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_replayer import reference_replay
+from reference_replayer import bisected_golden_shift, reference_replay
 from wearsim.engine import (EngineConfig, ObjectTooLargeError,
                             OutOfMemoryError, replay)
-from wearsim.policy import parse_policy
+from wearsim.policy import golden_shift, parse_policy
 from wearsim.trace import Trace
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
 
@@ -69,3 +69,8 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
             reference(trace.events[:index + 1])
         return
     assert_same_counts(report, reference(trace.events))
+
+
+@given(st.integers(min_value=2, max_value=2**64))
+def test_reference_golden_shift_is_exact(capacity):
+    assert bisected_golden_shift(capacity) == golden_shift(capacity)

@@ -136,6 +136,21 @@ class TestStartProgression:
         for m in range(1, period + 1):
             assert len(circular_gaps(seq[:m], ring_size)) <= 3
 
+    @given(st.data())
+    def test_golden_largest_gap(self, data):
+        # Three-distance theorem (Sos; Swierczkowski, 1958): k golden
+        # starts cut the ring into gaps of at most three lengths, the
+        # largest under phi**2 * N / k.  The bound needs k well below the
+        # period; N = 26, k = 13 reaches 3.0.
+        ring_size = data.draw(st.integers(min_value=4, max_value=10**12))
+        period = ring_size // math.gcd(golden_shift(ring_size), ring_size)
+        count = data.draw(st.integers(
+            min_value=1, max_value=min(math.isqrt(ring_size), period, 300)))
+        gaps = circular_gaps(start_sequence(Policy("golden"), ring_size, count),
+                             ring_size)
+        assert len(gaps) <= 3
+        assert max(gaps) * count < (3 + math.sqrt(5)) / 2 * ring_size
+
     def test_full_period_equally_spaced(self):
         ring_size = 4096
         shift = golden_shift(ring_size)

@@ -3,19 +3,17 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from wearsim.trace import (Alloc, Free, Gc, Read, Trace, TraceHeader,
-                           TraceParseError, Write, format_trace, parse_trace,
-                           validate_trace, write_trace)
+from wearsim.trace import (Trace, TraceHeader, TraceParseError, format_trace,
+                           parse_trace, validate_trace, write_trace)
 
 uints = st.integers(min_value=0, max_value=10**9)
 sizes = st.integers(min_value=1, max_value=10**6)
 
 events = st.one_of(
-    st.builds(Alloc, uints, sizes),
-    st.builds(Free, uints),
-    st.builds(Read, uints, uints, sizes),
-    st.builds(Write, uints, uints, sizes),
-    st.just(Gc()),
+    st.tuples(st.just("A"), uints, sizes),
+    st.tuples(st.just("F"), uints),
+    st.tuples(st.sampled_from("RW"), uints, uints, sizes),
+    st.just(("G",)),
 )
 
 traces = st.builds(
@@ -28,7 +26,7 @@ traces = st.builds(
 class TestParse:
     def test_basic(self):
         trace = parse_trace("A 1 3\nW 1 0 3\nG\n")
-        assert trace.events == [Alloc(1, 3), Write(1, 0, 3), Gc()]
+        assert trace.events == [("A", 1, 3), ("W", 1, 0, 3), ("G",)]
 
     def test_empty_file(self):
         assert parse_trace("").events == []
@@ -69,7 +67,7 @@ class TestParse:
         trace = parse_trace(text)
         assert trace.header.format_version == 1
         assert trace.header.suggested_mem_size_cells == 128
-        assert trace.events == [Alloc(1, 3)]
+        assert trace.events == [("A", 1, 3)]
 
     def test_unsupported_version(self):
         with pytest.raises(TraceParseError, match="unsupported trace format version 9"):
@@ -92,55 +90,89 @@ class TestParse:
         assert parse_trace(io.StringIO(text)) == expected
 
     def test_crlf_tolerated(self):
-        assert parse_trace("A 1 3\r\nG\r\n").events == [Alloc(1, 3), Gc()]
+        assert parse_trace("A 1 3\r\nG\r\n").events == [("A", 1, 3), ("G",)]
 
 
 class TestValidate:
     def test_double_free(self):
-        trace = Trace([Alloc(1, 3), Free(1), Free(1)])
+        trace = Trace([("A", 1, 3), ("F", 1), ("F", 1)])
         violations = validate_trace(trace)
         assert len(violations) == 1
         assert violations[0].event_index == 2
         assert violations[0].rule == "free-dead"
 
     def test_out_of_bounds(self):
-        violations = validate_trace(Trace([Alloc(1, 3), Read(1, 2, 2)]))
+        violations = validate_trace(Trace([("A", 1, 3), ("R", 1, 2, 2)]))
         assert [(v.event_index, v.rule) for v in violations] == [(1, "out-of-bounds")]
 
     def test_valid_sequence(self):
-        assert validate_trace(Trace([Alloc(1, 3), Write(1, 0, 3), Gc()])) == []
+        assert validate_trace(Trace([("A", 1, 3), ("W", 1, 0, 3), ("G",)])) == []
 
     def test_alloc_of_live_object(self):
-        violations = validate_trace(Trace([Alloc(1, 3), Alloc(1, 2)]))
+        violations = validate_trace(Trace([("A", 1, 3), ("A", 1, 2)]))
         assert [v.rule for v in violations] == ["alloc-live"]
 
     def test_access_of_dead_object(self):
-        violations = validate_trace(Trace([Write(5, 0, 1)]))
+        violations = validate_trace(Trace([("W", 5, 0, 1)]))
         assert [v.rule for v in violations] == ["access-dead"]
 
     def test_id_reuse_after_free_is_valid(self):
-        trace = Trace([Alloc(1, 3), Free(1), Alloc(1, 2), Read(1, 0, 2)])
+        trace = Trace([("A", 1, 3), ("F", 1), ("A", 1, 2), ("R", 1, 0, 2)])
         assert validate_trace(trace) == []
 
     def test_deterministic(self):
-        trace = Trace([Alloc(1, 3), Free(2), Read(1, 9, 1), Free(1), Free(1)])
+        trace = Trace([("A", 1, 3), ("F", 2), ("R", 1, 9, 1), ("F", 1), ("F", 1)])
         assert validate_trace(trace) == validate_trace(trace)
+
+    @pytest.mark.parametrize("event", [
+        pytest.param(("A", 1, 0), id="zero-size"),
+        pytest.param(("R", 1, 0, 0), id="zero-length"),
+        pytest.param(("X", 1), id="unknown-opcode"),
+        pytest.param(("F",), id="missing-field"),
+        pytest.param(("G", 1), id="extra-field"),
+        pytest.param(("A", -1, 3), id="negative-id"),
+        pytest.param(("R", 1, -1, 1), id="negative-offset"),
+        pytest.param(("W", 1, 0, "2"), id="string-field"),
+        pytest.param(("A", 1, 3.0), id="float-field"),
+        pytest.param(("A", True, 3), id="bool-field"),
+        pytest.param((), id="empty"),
+        pytest.param("A 1 3", id="not-a-tuple"),
+    ])
+    def test_malformed_event(self, event):
+        violations = validate_trace(Trace([("A", 1, 3), event]))
+        assert [(v.event_index, v.rule) for v in violations] == [(1, "malformed-event")]
+
+    def test_malformed_event_is_dropped(self):
+        trace = Trace([("A", 1, 0), ("R", 1, 0, 1), ("A", 1, 2), ("W", 1, 0, 2)])
+        assert [(v.event_index, v.rule) for v in validate_trace(trace)] == [
+            (0, "malformed-event"), (1, "access-dead")]
+
+    def test_messages(self):
+        trace = Trace([("A", 1, 3), ("A", 1, 2), ("F", 2), ("W", 5, 0, 1),
+                       ("R", 1, 2, 2), ("A", 2, 0)])
+        assert [v.message for v in validate_trace(trace)] == [
+            "alloc of live object 1",
+            "free of dead object 2",
+            "write of dead object 5",
+            "read of 2 cells at offset 2 exceeds size 3 of object 1",
+            "size must be >= 1",
+        ]
 
 
 class TestWrite:
     def test_single_event(self):
-        assert format_trace(Trace([Gc()])) == "#! wearsim-trace v1\nG\n"
+        assert format_trace(Trace([("G",)])) == "#! wearsim-trace v1\nG\n"
 
     def test_alloc_read(self):
-        text = format_trace(Trace([Alloc(7, 2), Read(7, 1, 1)]))
+        text = format_trace(Trace([("A", 7, 2), ("R", 7, 1, 1)]))
         assert text == "#! wearsim-trace v1\nA 7 2\nR 7 1 1\n"
 
     def test_mem_header_written(self):
-        trace = Trace([Gc()], TraceHeader(suggested_mem_size_cells=64))
+        trace = Trace([("G",)], TraceHeader(suggested_mem_size_cells=64))
         assert format_trace(trace) == "#! wearsim-trace v1\n#mem 64\nG\n"
 
     def test_text_and_binary_sinks(self):
-        trace = Trace([Free(3)])
+        trace = Trace([("F", 3)])
         text_sink = io.StringIO()
         write_trace(trace, text_sink)
         binary_sink = io.BytesIO()
@@ -150,16 +182,3 @@ class TestWrite:
     @given(traces)
     def test_round_trip(self, trace):
         assert parse_trace(format_trace(trace)) == trace
-
-
-class TestEventInvariants:
-    def test_alloc_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Alloc(1, 0)
-
-    def test_access_length_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Read(1, 0, 0)
-
-    def test_read_and_write_are_distinct(self):
-        assert Read(1, 0, 1) != Write(1, 0, 1)

@@ -2,7 +2,7 @@ import pytest
 
 from wearsim.engine import EngineConfig, replay
 from wearsim.policy import Policy
-from wearsim.trace import Alloc, Free, Gc, Read, Write, format_trace, validate_trace
+from wearsim.trace import format_trace, validate_trace
 from wearsim.workload import WorkloadSpec, generate, hot_object_ids
 
 
@@ -50,8 +50,8 @@ class TestPatterns:
         trace = generate(spec)
         hot = hot_object_ids(spec)
         assert len(hot) == 1
-        accesses = [e for e in trace.events if isinstance(e, (Read, Write))]
-        hot_share = sum(e.object_id in hot for e in accesses) / len(accesses)
+        accesses = [e for e in trace.events if e[0] in ("R", "W")]
+        hot_share = sum(e[1] in hot for e in accesses) / len(accesses)
         assert hot_share >= 0.85
 
     def test_hot_set_rounds_up(self):
@@ -61,21 +61,21 @@ class TestPatterns:
     def test_loop_writes_fixed_set_in_cycle(self):
         spec = spec_for("loop", object_count=3, op_count=50)
         trace = generate(spec)
-        body = [e for e in trace.events if not isinstance(e, Gc)]
-        assert all(isinstance(e, (Alloc, Write)) for e in body)
-        writes = [e for e in body if isinstance(e, Write)]
-        assert [w.object_id for w in writes[:6]] == [1, 2, 3, 1, 2, 3]
-        assert all(w.offset_cells == 0 for w in writes)
+        body = [e for e in trace.events if e[0] != "G"]
+        assert {e[0] for e in body} == {"A", "W"}
+        writes = [e for e in body if e[0] == "W"]
+        assert [w[1] for w in writes[:6]] == [1, 2, 3, 1, 2, 3]
+        assert all(w[2] == 0 for w in writes)
 
     def test_churn_allocs_and_frees(self):
         trace = generate(spec_for("churn", op_count=5000))
-        kinds = {type(e) for e in trace.events}
-        assert {Alloc, Free, Gc} <= kinds
+        kinds = {e[0] for e in trace.events}
+        assert {"A", "F", "G"} <= kinds
 
     def test_gc_insertion_cadence(self):
         spec = spec_for("loop", op_count=250, gc_every=50)
         trace = generate(spec)
-        assert sum(isinstance(e, Gc) for e in trace.events) == 5
+        assert trace.events.count(("G",)) == 5
 
 
 class TestSpecValidation:
