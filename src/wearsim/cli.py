@@ -1,7 +1,9 @@
 """Command-line front end: gen, run, compare, and report subcommands.
 
 Exit codes: 0 success, 2 usage error, 3 unreadable or invalid trace /
-malformed report input, 4 simulation error (e.g. out of memory).
+malformed report input, 4 simulation error (e.g. out of memory).  A
+command that fails raises `_Exit`, which carries the code and the error
+lines; `main` alone prints those lines and returns the code.
 """
 
 from __future__ import annotations
@@ -30,12 +32,8 @@ EXIT_BAD_TRACE = 3
 EXIT_SIMULATION = 4
 
 
-class _UnwritableOutput(Exception):
-    """A report path that cannot be written; ends the command with a usage error."""
-
-
-def _fail(message: str) -> None:
-    print(f"wearsim: error: {message}", file=sys.stderr)
+class _Exit(Exception):
+    """Ends a command; its args are the nonzero exit code, then the error lines."""
 
 
 def _positive_int(text: str) -> int:
@@ -54,64 +52,59 @@ def _write_out(path: str | None, emit) -> None:
             with open(path, "w", newline="") as sink:
                 emit(sink)
     except OSError as err:
-        raise _UnwritableOutput(f"cannot write {path or 'stdout'}: {err}") from err
+        raise _Exit(EXIT_USAGE, f"cannot write {path or 'stdout'}: {err}") from err
 
 
 def _load_valid_trace(path: str):
-    """Parse and validate a trace file, or return None after diagnostics."""
+    """Parse and validate a trace file; a bad one ends the command with exit 3."""
     try:
         with open(path, "rb") as f:
             trace = parse_trace(f)
     except OSError as err:
-        _fail(f"cannot read trace: {err}")
-        return None
+        raise _Exit(EXIT_BAD_TRACE, f"cannot read trace: {err}") from err
     except TraceParseError as err:
-        _fail(f"{path}: {err}")
-        return None
+        raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
     except UnicodeDecodeError as err:
-        _fail(f"{path}: not UTF-8 text: {err}")
-        return None
+        raise _Exit(EXIT_BAD_TRACE, f"{path}: not UTF-8 text: {err}") from err
     violations = validate_trace(trace)
     if violations:
-        for v in violations[:5]:
-            _fail(f"{path}: event {v.event_index}: {v.message}")
+        lines = [f"{path}: event {v.event_index}: {v.message}" for v in violations[:5]]
         if len(violations) > 5:
-            _fail(f"{path}: {len(violations) - 5} further violations")
-        return None
+            lines.append(f"{path}: {len(violations) - 5} further violations")
+        raise _Exit(EXIT_BAD_TRACE, *lines)
     return trace
 
 
-def _resolve_mem_size(args, trace) -> int | None:
+def _replay_each(args, policy_specs: list[str]) -> list:
+    """Parse every policy, then replay the --trace file under each, in order."""
+    try:
+        policies = [parse_policy(spec) for spec in policy_specs]
+    except PolicyError as err:
+        raise _Exit(EXIT_USAGE, str(err)) from err
+    trace = _load_valid_trace(args.trace)
     mem = args.mem_size
     if mem is None:
         mem = trace.header.suggested_mem_size_cells
     if mem is None:
-        _fail("no --mem-size given and trace has no #mem header")
-        return None
-    if mem < 4 or mem % 2:
-        _fail(f"memory size must be even and >= 4 cells, got {mem}")
-        return None
-    return mem
+        raise _Exit(EXIT_USAGE, "no --mem-size given and trace has no #mem header")
+    try:
+        configs = [EngineConfig(mem, policy, count_gc_traffic=not args.no_gc_traffic)
+                   for policy in policies]
+    except ValueError as err:
+        raise _Exit(EXIT_USAGE, str(err)) from err
+    mode = CountingMode(args.count)
+    reports = []
+    for config in configs:  # one isolated engine per policy
+        try:
+            reports.append(replay(trace, config, mode))
+        except SimulationError as err:
+            raise _Exit(EXIT_SIMULATION,
+                        f"policy {config.policy.spec_string()}: {err}") from err
+    return reports
 
 
 def _cmd_run(args) -> int:
-    trace = _load_valid_trace(args.trace)
-    if trace is None:
-        return EXIT_BAD_TRACE
-    mem = _resolve_mem_size(args, trace)
-    if mem is None:
-        return EXIT_USAGE
-    try:
-        policy = parse_policy(args.policy)
-    except PolicyError as err:
-        _fail(str(err))
-        return EXIT_USAGE
-    config = EngineConfig(mem, policy, count_gc_traffic=not args.no_gc_traffic)
-    try:
-        report = replay(trace, config, CountingMode(args.count))
-    except SimulationError as err:
-        _fail(str(err))
-        return EXIT_SIMULATION
+    [report] = _replay_each(args, [args.policy])
     _write_out(args.out, lambda sink: write_summary_json(report, sink))
     if args.percell:
         _write_out(args.percell, lambda sink: write_percell_csv(report, sink))
@@ -125,28 +118,9 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     policy_specs = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(policy_specs) < 2:
-        _fail("--policies needs at least two comma-separated policies")
-        return EXIT_USAGE
-    try:
-        policies = [parse_policy(spec) for spec in policy_specs]
-    except PolicyError as err:
-        _fail(str(err))
-        return EXIT_USAGE
-    trace = _load_valid_trace(args.trace)
-    if trace is None:
-        return EXIT_BAD_TRACE
-    mem = _resolve_mem_size(args, trace)
-    if mem is None:
-        return EXIT_USAGE
-    mode = CountingMode(args.count)
-    reports = []
-    for policy in policies:  # one isolated engine per policy, flag order
-        config = EngineConfig(mem, policy, count_gc_traffic=not args.no_gc_traffic)
-        try:
-            reports.append(replay(trace, config, mode))
-        except SimulationError as err:
-            _fail(f"policy {policy.spec_string()}: {err}")
-            return EXIT_SIMULATION
+        raise _Exit(EXIT_USAGE,
+                    "--policies needs at least two comma-separated policies")
+    reports = _replay_each(args, policy_specs)
     trace_name = os.path.basename(args.trace)
     rows = [compare_csv_row(trace_name, report) for report in reports]
     _write_out(args.out, lambda sink: write_compare_csv(rows, sink))
@@ -154,8 +128,7 @@ def _cmd_compare(args) -> int:
     try:
         extensions = [lifespan_extension(baseline, r.summary) for r in reports]
     except UndefinedExtensionError as err:
-        _fail(str(err))
-        return EXIT_SIMULATION
+        raise _Exit(EXIT_SIMULATION, str(err)) from err
 
     def emit_extensions(sink):
         sink.write("policy,avg_extension,max_extension\n")
@@ -180,14 +153,8 @@ def _cmd_gen(args) -> int:
     try:
         trace = generate(spec)
     except ValueError as err:
-        _fail(str(err))
-        return EXIT_USAGE
-    try:
-        with open(args.out, "wb") as f:
-            write_trace(trace, f)
-    except OSError as err:
-        _fail(f"cannot write trace: {err}")
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, str(err)) from err
+    _write_out(args.out, partial(write_trace, trace))
     print(f"wrote {len(trace.events)} events to {args.out}")
     return EXIT_OK
 
@@ -203,8 +170,8 @@ def _cmd_report(args) -> int:
                 os.path.join(out_dir, f"{stems[path]}_top{args.topn}.csv"))
             for other, other_out in topn_paths.items():
                 if other_out == out_path:
-                    _fail(f"{other} and {path} would both write {out_path}")
-                    return EXIT_USAGE
+                    raise _Exit(EXIT_USAGE,
+                                f"{other} and {path} would both write {out_path}")
             topn_paths[path] = out_path
     # a summary is labelled by its stem unless another summary path shares it
     stem_uses = Counter(stems[path] for path in set(args.inputs)
@@ -222,11 +189,10 @@ def _cmd_report(args) -> int:
                     reads, writes = load_percell_csv(f)
                 counts = top_n_distribution(reads, writes, mode, args.topn)
             else:
-                _fail(f"{path}: expected a .json summary or .csv percell file")
-                return EXIT_BAD_TRACE
+                raise _Exit(EXIT_BAD_TRACE,
+                            f"{path}: expected a .json summary or .csv percell file")
         except (OSError, ValueError, KeyError) as err:
-            _fail(f"{path}: {err}")
-            return EXIT_BAD_TRACE
+            raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
         if path in topn_paths:
             _write_out(topn_paths[path], partial(write_topn_csv, counts))
 
@@ -328,9 +294,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UnwritableOutput as err:
-        _fail(str(err))
-        return EXIT_USAGE
+    except _Exit as exit_:
+        code, *lines = exit_.args
+        for line in lines:
+            print(f"wearsim: error: {line}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -156,6 +156,11 @@ class Engine:
         self.gc_count += 1
 
     def process(self, event: TraceEvent) -> None:
+        """Apply one event of a trace that passes `validate_trace`.
+
+        The event's shape is not checked here: a malformed tuple may raise
+        any exception or be applied as given.
+        """
         # handlers are looked up per call, so wrappers set on the class see all
         opcode = event[0]
         if opcode == "A":
@@ -198,6 +203,10 @@ def replay(trace: Trace, config: EngineConfig,
     Deterministic: the same trace and config always produce an
     identical report.  Simulation errors are re-raised with the index
     of the event that caused them.
+
+    The trace must pass `validate_trace`, the one gate on hand-built
+    traces; events are not checked one by one, so a malformed tuple may
+    raise any exception or be applied as given.
     """
     engine = Engine(config)
     for index, event in enumerate(trace.events):

@@ -160,9 +160,8 @@ def load_summary(source) -> tuple[dict, SummaryStats]:
 def write_percell_csv(report: WearReport, sink) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["address", "reads", "writes"])
-    for address, (r, w) in enumerate(zip(report.per_cell_reads,
-                                         report.per_cell_writes)):
-        writer.writerow([address, r, w])
+    writer.writerows(zip(range(len(report.per_cell_reads)),
+                         report.per_cell_reads, report.per_cell_writes))
 
 
 def load_percell_csv(source) -> tuple[list[int], list[int]]:

@@ -70,6 +70,7 @@ class Violation:
 TraceSource = Union[str, bytes, TextIO, BinaryIO]
 
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
+_LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
 
 
 def _as_text(source: TraceSource) -> str:
@@ -202,7 +203,7 @@ def format_trace(trace: Trace) -> str:
     lines = [f"{MAGIC_PREFIX}{trace.header.format_version}"]
     if trace.header.suggested_mem_size_cells is not None:
         lines.append(f"#mem {trace.header.suggested_mem_size_cells}")
-    lines.extend(" ".join(map(str, event)) for event in trace.events)
+    lines.extend(_LINE_FORMAT[event[0]] % event for event in trace.events)
     return "\n".join(lines) + "\n"
 
 

@@ -51,8 +51,7 @@ def bisected_golden_shift(capacity: int) -> int:
 
 
 def reference_replay(trace: Trace, mem_size: int, policy_spec: str,
-                     count_gc_traffic: bool = True,
-                     auto_gc: bool = True) -> ReferenceResult:
+                     count_gc_traffic: bool = True) -> ReferenceResult:
     kind, _, arg = policy_spec.partition(":")
     single = kind == "single"
     capacity = mem_size if single else mem_size // 2
@@ -134,8 +133,7 @@ def reference_replay(trace: Trace, mem_size: int, policy_spec: str,
             if size > capacity:
                 raise ValueError("object too large")
             if size > free_now():
-                if auto_gc:
-                    run_gc()
+                run_gc()
                 if size > free_now():
                     raise ValueError("out of memory")
             base = (anchor_start + anchor_live + sum(allocs_since_gc)) % capacity

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,11 @@ class TestRun:
         assert main(["run", "--trace", trace, "--mem-size", "20",
                      "--policy", "spiral"]) == 2
 
+    def test_bad_policy_is_usage_error_before_reading_trace(self, tmp_path):
+        # the trace does not exist: reading it first would exit 3
+        assert main(["run", "--trace", str(tmp_path / "nope.trace"),
+                     "--policy", "spiral"]) == 2
+
     def test_parse_error_exits_3(self, tmp_path):
         trace = write_file(tmp_path / "bad.trace", "A 1 0\n")
         assert main(["run", "--trace", trace, "--mem-size", "20",
@@ -72,6 +81,15 @@ class TestRun:
         trace = write_file(tmp_path / "bad.trace", "A 1 3\nF 1\nF 1\n")
         assert main(["run", "--trace", trace, "--mem-size", "20",
                      "--policy", "golden"]) == 3
+
+    def test_violations_listed_up_to_five(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "bad.trace", "A 1 3\n" + "F 2\n" * 7)
+        assert main(["run", "--trace", trace, "--mem-size", "20",
+                     "--policy", "golden"]) == 3
+        expected = [f"{trace}: event {i}: free of dead object 2" for i in range(1, 6)]
+        expected.append(f"{trace}: 2 further violations")
+        assert capsys.readouterr().err.splitlines() == [
+            f"wearsim: error: {line}" for line in expected]
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["run", "--trace", str(tmp_path / "nope.trace"),
@@ -158,6 +176,12 @@ class TestGen:
     def test_zero_ops_is_usage_error(self, tmp_path):
         assert main(["gen", "--pattern", "churn", "--ops", "0",
                      "--out", str(tmp_path / "x.trace")]) == 2
+
+    def test_unwritable_trace_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.trace"
+        assert main(["gen", "--pattern", "loop", "--objects", "4",
+                     "--ops", "100", "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
 
     def test_reported_event_count_matches_file(self, tmp_path, capsys):
         trace = tmp_path / "g.trace"
@@ -351,3 +375,25 @@ class TestPipelineDeterminism:
                               (trace, summary, percell, table,
                                d / "c_top16.csv")])
         assert artifacts[0] == artifacts[1]
+
+
+class TestProcessExit:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("code, trace_text, policy", [
+        (0, TRIVIAL, "golden"),
+        (2, TRIVIAL, "spiral"),
+        (3, "A 1 3\nF 1\nF 1\n", "golden"),
+        (4, "A 1 4\nA 2 4\n", "golden"),
+    ], ids=["ok", "usage", "bad-trace", "simulation"])
+    def test_exit_code_reaches_the_process(self, tmp_path, code, trace_text,
+                                            policy):
+        trace = write_file(tmp_path / "t.trace", trace_text)
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", "wearsim.cli", "run", "--trace", trace,
+             "--mem-size", "8", "--policy", policy,
+             "--out", str(tmp_path / "s.json")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+        assert ("wearsim: error:" in done.stderr) == (code != 0)
