@@ -22,6 +22,7 @@ old work space touch no cells at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from wearsim.memory import AccessKind, CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
@@ -178,11 +179,12 @@ class Engine:
         self.event_count += 1
 
     def build_report(self, mode: CountingMode = CountingMode.ACCESSES) -> WearReport:
-        reads: list[int] = []
-        writes: list[int] = []
-        for space in self.spaces:  # space r's cell c is at address r * capacity + c
-            reads += space.reads
-            writes += space.writes
+        # space r's cell c is at address r * capacity + c; each list is built
+        # in one step from the spaces' prefix sums, with no per-space copy
+        reads = list(chain.from_iterable(
+            space.iter_counts(AccessKind.READ) for space in self.spaces))
+        writes = list(chain.from_iterable(
+            space.iter_counts(AccessKind.WRITE) for space in self.spaces))
         return WearReport(
             policy=self.config.policy.spec_string(),
             mem_size_cells=self.config.mem_size_cells,

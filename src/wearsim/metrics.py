@@ -83,7 +83,7 @@ def summarize(reads: Sequence[int], writes: Sequence[int],
     if not counts:
         raise ValueError("summarize requires at least one cell")
     total = sum(counts)
-    touched = sum(1 for c in counts if c)
+    touched = len(counts) - counts.count(0)  # counts are >= 0
     max_cell = max(counts)
     return SummaryStats(
         avg_all_cells=total / len(counts),

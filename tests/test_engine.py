@@ -256,6 +256,39 @@ class TestReportLayout:
         assert report.per_cell_writes == [0] * 6
 
 
+@pytest.mark.parametrize("policy", ["golden", "single"])
+class TestBuildReport:
+    def engine_with_traffic(self, policy):
+        engine = engine_for(20, policy)
+        engine.handle_alloc(1, 3)
+        engine.handle_alloc(2, 4)
+        engine.process(("W", 2, 1, 3))
+        engine.handle_free(1)
+        engine.handle_gc()
+        engine.process(("R", 2, 0, 4))
+        return engine
+
+    def test_repeated_calls_are_equal(self, policy):
+        engine = self.engine_with_traffic(policy)
+        first, second = engine.build_report(), engine.build_report()
+        assert first.per_cell_reads == second.per_cell_reads
+        assert first.per_cell_writes == second.per_cell_writes
+        assert first.summary == second.summary
+
+    def test_access_after_a_report_is_counted(self, policy):
+        engine = self.engine_with_traffic(policy)
+        first = engine.build_report()
+        engine.process(("W", 2, 0, 2))
+        second = engine.build_report()
+        assert sum(second.per_cell_writes) == sum(first.per_cell_writes) + 2
+        assert second.per_cell_reads == first.per_cell_reads
+
+    def test_lists_cover_the_whole_memory(self, policy):
+        report = self.engine_with_traffic(policy).build_report()
+        assert (len(report.per_cell_reads) == len(report.per_cell_writes)
+                == report.mem_size_cells == 20)
+
+
 class TestReplay:
     def test_empty_trace(self):
         report = replay(Trace([]), EngineConfig(20, Policy("golden")))

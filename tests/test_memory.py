@@ -41,6 +41,32 @@ class TestRecordRange:
         with pytest.raises(ValueError):
             CellCounters(10).record_range(10, 1, AccessKind.READ)
 
+    @pytest.mark.parametrize("kind", list(AccessKind))
+    def test_every_range_of_small_rings(self, kind):
+        # every base and length on rings of 1-9 cells, so ranges that end
+        # exactly at the seam and full-ring ranges from every base are covered
+        for size in range(1, 10):
+            for base in range(size):
+                for length in range(1, size + 1):
+                    ring = CellCounters(size)
+                    ring.record_range(base, length, kind)
+                    expected = [0] * size
+                    for i in range(length):
+                        expected[(base + i) % size] += 1
+                    counted, other = ((ring.writes, ring.reads)
+                                      if kind is AccessKind.WRITE
+                                      else (ring.reads, ring.writes))
+                    assert counted == expected, (size, base, length)
+                    assert other == [0] * size, (size, base, length)
+
+    def test_reading_counts_does_not_consume_them(self):
+        ring = CellCounters(5)
+        ring.record_range(3, 4, AccessKind.WRITE)
+        assert ring.writes == [1, 1, 0, 1, 1]
+        ring.record_range(1, 3, AccessKind.WRITE)
+        assert ring.writes == [1, 2, 1, 2, 1]
+        assert ring.writes == [1, 2, 1, 2, 1]
+
     @given(st.integers(min_value=1, max_value=64).flatmap(
         lambda size: st.tuples(
             st.just(size),
