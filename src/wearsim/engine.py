@@ -63,6 +63,11 @@ class ObjectRecord:
     live: bool = True
 
 
+#: Largest memory an engine accepts.  Its counters take two 8-byte slots
+#: per cell, 16 B, so 1 GiB at this limit.
+MAX_MEM_CELLS = 2 ** 26
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     mem_size_cells: int
@@ -73,6 +78,11 @@ class EngineConfig:
         if self.mem_size_cells < 4 or self.mem_size_cells % 2:
             raise ValueError(
                 f"mem_size_cells must be even and >= 4, got {self.mem_size_cells}")
+        if self.mem_size_cells > MAX_MEM_CELLS:
+            raise ValueError(
+                f"mem_size_cells {self.mem_size_cells} exceeds the limit of "
+                f"{MAX_MEM_CELLS} cells: its counters would need "
+                f"{self.mem_size_cells * 16 / 2 ** 30:.1f} GiB")
 
 
 class Engine:
@@ -179,12 +189,10 @@ class Engine:
         self.event_count += 1
 
     def build_report(self, mode: CountingMode = CountingMode.ACCESSES) -> WearReport:
-        # space r's cell c is at address r * capacity + c; each list is built
-        # in one step from the spaces' prefix sums, with no per-space copy
-        reads = list(chain.from_iterable(
-            space.iter_counts(AccessKind.READ) for space in self.spaces))
-        writes = list(chain.from_iterable(
-            space.iter_counts(AccessKind.WRITE) for space in self.spaces))
+        # space r's cell c is at address r * capacity + c, so the report's
+        # runs are each space's runs in turn
+        lengths, reads, writes = (list(chain.from_iterable(column)) for column
+                                  in zip(*(space.runs() for space in self.spaces)))
         return WearReport(
             policy=self.config.policy.spec_string(),
             mem_size_cells=self.config.mem_size_cells,
@@ -192,9 +200,10 @@ class Engine:
             count_gc_traffic=self.config.count_gc_traffic,
             gc_count=self.gc_count,
             event_count=self.event_count,
-            per_cell_reads=reads,
-            per_cell_writes=writes,
-            summary=summarize(reads, writes, mode),
+            run_lengths=lengths,
+            run_reads=reads,
+            run_writes=writes,
+            summary=summarize(lengths, reads, writes, mode),
         )
 
 

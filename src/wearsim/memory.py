@@ -9,14 +9,18 @@ decided purely by how often each cell is touched.
 
 Each access kind is kept as a difference array (Blelloch 1990, "Prefix
 Sums and Their Applications"): recording a range costs two O(1) updates,
-four when it wraps the seam, whatever its length.  The per-cell counts
-are the prefix sum of that array, built afresh each time they are read.
+four when it wraps the seam, whatever its length.  A cell's count is
+the prefix sum of that array up to the cell.  Reports read the counts as
+runs of equal (reads, writes): a run starts wherever either array is
+nonzero, so the cost of finding the runs is one scan in C, and everything
+after it grows with the number of runs, not of cells.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
+from operator import or_, sub
 from typing import Iterator
 
 
@@ -31,8 +35,8 @@ class CellCounters:
     Each kind is a difference array of `size_cells + 1` entries: a range
     adds 1 at its first cell and subtracts 1 just past its last, so the
     running sum up to cell c is c's count.  The extra entry takes the -1
-    of a range that ends at the last cell.  `reads` and `writes` build a
-    fresh prefix-sum list on each read and leave the counters as they are.
+    of a range that ends at the last cell.  `reads`, `writes` and `runs`
+    build fresh lists on each call and leave the counters as they are.
     """
 
     def __init__(self, size_cells: int):
@@ -63,6 +67,24 @@ class CellCounters:
             deltas[size] -= 1
             deltas[0] += 1
             deltas[end - size] -= 1
+
+    def runs(self) -> tuple[list[int], list[int], list[int]]:
+        """The counts as runs of cells with equal (reads, writes), cell 0 first.
+
+        Returns the runs' lengths, and the reads and the writes of each of
+        their cells.  A run starts at cell 0 and wherever either difference
+        array is nonzero, which is where the pair changes, so adjacent runs
+        differ; its counts are the running sum of the deltas at the starts.
+        """
+        size = self.size_cells
+        reads, writes = self._read_deltas, self._write_deltas
+        starts = list(compress(range(size), map(or_, reads, writes)))
+        if not starts or starts[0]:
+            starts.insert(0, 0)
+        lengths = list(map(sub, [*islice(starts, 1, None), size], starts))
+        return (lengths,
+                list(accumulate(map(reads.__getitem__, starts))),
+                list(accumulate(map(writes.__getitem__, starts))))
 
     def iter_counts(self, kind: AccessKind) -> Iterator[int]:
         """The per-cell counts of `kind`, cell 0 first, as a prefix-sum iterator."""

@@ -8,6 +8,12 @@ Lifespan extension is the ratio of a baseline's statistic to a
 candidate's: a cell dies when its access count reaches the endurance
 limit, so halving the peak count doubles the time to first cell death.
 
+A report holds its counts as runs of cells with equal reads and writes.
+Wear at the memory sizes a leveling study needs is a step function, so a
+report of millions of cells has a few hundred runs, and the statistics
+cost per run, not per cell; per-cell counts are runs of length 1.  The
+percell-csv export writes one row per cell all the same.
+
 Report formats:
 
     summary-json   config echo, gc/event counts, summary statistics
@@ -22,6 +28,8 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress, islice, repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 
@@ -51,7 +59,11 @@ class UndefinedExtensionError(ValueError):
 
 @dataclass
 class WearReport:
-    """Everything one simulation run produced, ready for export."""
+    """Everything one simulation run produced, ready for export.
+
+    The counts are runs: `run_lengths[i]` cells that each saw
+    `run_reads[i]` reads and `run_writes[i]` writes, address 0 first.
+    """
 
     policy: str
     mem_size_cells: int
@@ -59,37 +71,45 @@ class WearReport:
     count_gc_traffic: bool
     gc_count: int
     event_count: int
-    per_cell_reads: list[int]
-    per_cell_writes: list[int]
+    run_lengths: list[int]
+    run_reads: list[int]
+    run_writes: list[int]
     summary: SummaryStats
 
+    # Built afresh on each read, so a report holds only its runs.
+    @property
+    def per_cell_reads(self) -> list[int]:
+        return _expand(self.run_lengths, self.run_reads)
 
-def combined_counts(reads: Sequence[int], writes: Sequence[int],
-                    mode: CountingMode) -> list[int]:
-    """Per-cell counts under the chosen counting mode."""
-    if mode is CountingMode.WRITES:
-        return list(writes)
-    return [r + w for r, w in zip(reads, writes)]
+    @property
+    def per_cell_writes(self) -> list[int]:
+        return _expand(self.run_lengths, self.run_writes)
 
 
-def summarize(reads: Sequence[int], writes: Sequence[int],
+def _expand(lengths: Sequence[int], values: Sequence[int]) -> list[int]:
+    return list(chain.from_iterable(map(repeat, values, lengths)))
+
+
+def summarize(lengths: Sequence[int], reads: Sequence[int], writes: Sequence[int],
               mode: CountingMode = CountingMode.ACCESSES) -> SummaryStats:
-    """Summary statistics over per-cell counters.
+    """Summary statistics over runs of `lengths[i]` cells with equal counts.
 
+    Every length must be >= 1; per-cell counts are runs of length 1.
     maxCellAddress breaks ties toward the lowest address so output is
     deterministic.
     """
-    counts = combined_counts(reads, writes, mode)
+    counts = list(writes if mode is CountingMode.WRITES else map(add, reads, writes))
     if not counts:
         raise ValueError("summarize requires at least one cell")
-    total = sum(counts)
-    touched = len(counts) - counts.count(0)  # counts are >= 0
+    cells = sum(lengths)
+    total = sum(map(mul, lengths, counts))
+    touched = sum(compress(lengths, counts))  # counts are >= 0
     max_cell = max(counts)
     return SummaryStats(
-        avg_all_cells=total / len(counts),
+        avg_all_cells=total / cells,
         avg_touched_cells=total / touched if touched else 0.0,
         max_cell=max_cell,
-        max_cell_address=counts.index(max_cell),
+        max_cell_address=sum(islice(lengths, counts.index(max_cell))),
         touched_cell_count=touched,
     )
 
@@ -99,7 +119,8 @@ def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
     """The n largest per-cell counts, descending, zero-padded to length n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    counts = sorted(combined_counts(reads, writes, mode), reverse=True)[:n]
+    counts = sorted(writes if mode is CountingMode.WRITES else map(add, reads, writes),
+                    reverse=True)[:n]
     counts.extend([0] * (n - len(counts)))
     return counts
 
@@ -157,11 +178,23 @@ def load_summary(source) -> tuple[dict, SummaryStats]:
     return data, stats
 
 
+#: Most cells per write to the sink, so a long run is never one string.
+PERCELL_CHUNK_CELLS = 1 << 16
+
+
 def write_percell_csv(report: WearReport, sink) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["address", "reads", "writes"])
-    writer.writerows(zip(range(len(report.per_cell_reads)),
-                         report.per_cell_reads, report.per_cell_writes))
+    # a run's rows share the text after the address, so each chunk of them
+    # is joined in C with that text as the separator
+    sink.write("address,reads,writes\n")
+    start = 0
+    for length, reads, writes in zip(report.run_lengths, report.run_reads,
+                                     report.run_writes):
+        suffix = f",{reads},{writes}\n"
+        end = start + length
+        for low in range(start, end, PERCELL_CHUNK_CELLS):
+            high = min(low + PERCELL_CHUNK_CELLS, end)
+            sink.write(suffix.join(map(str, range(low, high))) + suffix)
+        start = end
 
 
 def load_percell_csv(source) -> tuple[list[int], list[int]]:

@@ -51,6 +51,23 @@ class TestRun:
         assert main(["run", "--trace", trace, "--mem-size", "21",
                      "--policy", "golden"]) == 2
 
+    # the size comes from --mem-size or from the #mem header; run and compare
+    # both reject it before replaying
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("header, flags, needs", [
+        ("", ["--mem-size", str(2 ** 26 + 2)], "1.0 GiB"),
+        ("#mem 1549539408\n", [], "23.1 GiB"),
+    ])
+    def test_memory_past_the_limit_is_usage_error(self, tmp_path, capsys, command,
+                                                  header, flags, needs):
+        trace = write_file(tmp_path / "t.trace", header + TRIVIAL)
+        policy = (["--policy", "golden"] if command == "run"
+                  else ["--policies", "none,golden"])
+        assert main([command, "--trace", trace, *flags, *policy]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the limit of 67108864 cells" in err
+        assert needs in err
+
     def test_mem_size_falls_back_to_header(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", "#mem 20\n" + TRIVIAL)
         out = tmp_path / "s.json"

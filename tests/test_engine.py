@@ -1,8 +1,8 @@
 import pytest
 
 from invariants import assert_disjoint_live, assert_post_gc_invariants
-from wearsim.engine import (Engine, EngineConfig, InvalidFreeError,
-                            ObjectTooLargeError, OutOfBoundsError,
+from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig,
+                            InvalidFreeError, ObjectTooLargeError, OutOfBoundsError,
                             OutOfMemoryError, SimulationError,
                             UseAfterFreeError, replay)
 from wearsim.memory import AccessKind
@@ -29,6 +29,14 @@ class TestConfig:
     def test_too_small_memory_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(2, Policy("golden"))
+
+    def test_memory_limit_is_accepted(self):
+        # only the config: an engine this large would take 1 GiB
+        assert EngineConfig(MAX_MEM_CELLS, Policy("golden")).mem_size_cells == 2 ** 26
+
+    def test_memory_past_the_limit_rejected(self):
+        with pytest.raises(ValueError, match=r"limit of 67108864 cells.* 1\.0 GiB"):
+            EngineConfig(MAX_MEM_CELLS + 2, Policy("golden"))
 
     def test_ring_is_half_of_memory(self):
         assert engine_for(20).capacity == 10

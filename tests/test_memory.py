@@ -4,6 +4,26 @@ from hypothesis import given, strategies as st
 from wearsim.memory import AccessKind, CellCounters
 
 
+def expand(lengths, values):
+    """Per-cell values of runs, the slow way."""
+    cells = []
+    for length, value in zip(lengths, values):
+        cells.extend([value] * length)
+    return cells
+
+
+def assert_runs_match(ring):
+    """The ring's runs are well formed and expand to its per-cell counts."""
+    lengths, reads, writes = ring.runs()
+    assert len(lengths) == len(reads) == len(writes)
+    assert all(length >= 1 for length in lengths)
+    assert sum(lengths) == ring.size_cells
+    pairs = list(zip(reads, writes))
+    assert all(a != b for a, b in zip(pairs, pairs[1:])), "adjacent runs equal"
+    assert expand(lengths, reads) == ring.reads
+    assert expand(lengths, writes) == ring.writes
+
+
 class TestRecordRange:
     def test_wrap_touches_expected_cells(self):
         ring = CellCounters(10)
@@ -58,6 +78,24 @@ class TestRecordRange:
                                       else (ring.reads, ring.writes))
                     assert counted == expected, (size, base, length)
                     assert other == [0] * size, (size, base, length)
+                    assert_runs_match(ring)
+
+    def test_runs_of_a_fresh_ring(self):
+        assert CellCounters(7).runs() == ([7], [0], [0])
+
+    def test_runs_split_where_either_kind_changes(self):
+        ring = CellCounters(10)
+        ring.record_range(2, 4, AccessKind.READ)   # cells 2-5
+        ring.record_range(4, 4, AccessKind.WRITE)  # cells 4-7
+        assert ring.runs() == ([2, 2, 2, 2, 2], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0])
+
+    def test_ranges_that_cancel_leave_one_run(self):
+        # the wrapping range starts and ends at cell 3, so its +1 and -1
+        # there cancel and no run starts at cell 3
+        ring = CellCounters(6)
+        ring.record_range(0, 6, AccessKind.WRITE)
+        ring.record_range(3, 6, AccessKind.WRITE)
+        assert ring.runs() == ([6], [0], [2])
 
     def test_reading_counts_does_not_consume_them(self):
         ring = CellCounters(5)
@@ -83,6 +121,7 @@ class TestRecordRange:
             touched = {i for i in range(size) if after[i] != before[i]}
             assert touched == {(base + i) % size for i in range(length)}
             assert all(after[i] == before[i] + 1 for i in touched)
+        assert_runs_match(ring)
         assert (sum(ring.reads) + sum(ring.writes)
                 == sum(length for _, length, _ in calls))
 

@@ -1,8 +1,11 @@
+import csv
 import io
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from wearsim import metrics
 from wearsim.metrics import (CountingMode, SummaryStats, UndefinedExtensionError,
                              WearReport, compare_csv_row, lifespan_extension,
                              load_percell_csv, load_summary, summarize,
@@ -12,8 +15,9 @@ from wearsim.metrics import (CountingMode, SummaryStats, UndefinedExtensionError
 
 
 def stats_from(counts, mode=CountingMode.ACCESSES):
-    # feed counts as writes with zero reads; ACCESSES and WRITES then agree
-    return summarize([0] * len(counts), list(counts), mode)
+    # feed counts as writes with zero reads, one run per cell; ACCESSES and
+    # WRITES then agree
+    return summarize([1] * len(counts), [0] * len(counts), list(counts), mode)
 
 
 class TestSummarize:
@@ -32,18 +36,18 @@ class TestSummarize:
         assert stats.touched_cell_count == 2
 
     def test_combines_reads_and_writes(self):
-        stats = summarize([1, 0], [0, 3], CountingMode.ACCESSES)
+        stats = summarize([1, 1], [1, 0], [0, 3], CountingMode.ACCESSES)
         assert stats.avg_all_cells == 2
         assert stats.max_cell == 3
 
     def test_writes_only_ignores_reads(self):
-        stats = summarize([5, 5], [1, 0], CountingMode.WRITES)
+        stats = summarize([1, 1], [5, 5], [1, 0], CountingMode.WRITES)
         assert stats.max_cell == 1
         assert stats.touched_cell_count == 1
 
     def test_zero_cells_rejected(self):
         with pytest.raises(ValueError):
-            summarize([], [], CountingMode.ACCESSES)
+            summarize([], [], [], CountingMode.ACCESSES)
 
     def test_all_zero_counts(self):
         stats = stats_from([0, 0])
@@ -70,6 +74,48 @@ class TestSummarize:
         stats = stats_from(counts)
         assert stats.avg_touched_cells >= stats.avg_all_cells
         assert stats.max_cell >= stats.avg_touched_cells
+
+
+#: Runs of (length, reads, writes); small counts make zero runs and ties on
+#: the max common.
+runs_lists = st.lists(
+    st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(0, 3)),
+    min_size=1, max_size=20)
+
+
+def cells_of(runs):
+    """The runs' per-cell (reads, writes) lists."""
+    reads, writes = [], []
+    for length, r, w in runs:
+        reads += [r] * length
+        writes += [w] * length
+    return reads, writes
+
+
+class TestSummarizeRuns:
+    @given(runs_lists, st.sampled_from(list(CountingMode)))
+    @example([(2, 0, 1), (3, 0, 9), (1, 0, 0), (4, 9, 0)], CountingMode.ACCESSES)
+    @example([(3, 0, 0), (2, 0, 0)], CountingMode.ACCESSES)
+    @example([(2, 5, 0), (1, 0, 1)], CountingMode.WRITES)
+    def test_runs_equal_their_cells(self, runs, mode):
+        lengths, reads, writes = map(list, zip(*runs))
+        cell_reads, cell_writes = cells_of(runs)
+        assert (summarize(lengths, reads, writes, mode)
+                == summarize([1] * len(cell_reads), cell_reads, cell_writes, mode))
+
+    def test_max_tie_takes_the_lowest_address(self):
+        stats = summarize([2, 3, 1, 4], [0, 0, 0, 0], [1, 9, 0, 9])
+        assert (stats.max_cell, stats.max_cell_address) == (9, 2)
+
+    def test_all_zero_runs(self):
+        stats = summarize([3, 2], [0, 0], [0, 0])
+        assert stats == SummaryStats(0.0, 0.0, 0, 0, 0)
+
+    def test_writes_mode_ignores_reads(self):
+        stats = summarize([2, 3], [7, 0], [0, 1], CountingMode.WRITES)
+        assert (stats.max_cell, stats.max_cell_address) == (1, 2)
+        assert stats.touched_cell_count == 3
+        assert stats.avg_all_cells == 3 / 5
 
 
 class TestTopN:
@@ -123,12 +169,33 @@ class TestLifespanExtension:
             lifespan_extension(good, zero)
 
 
+def report_of_runs(runs):
+    lengths, reads, writes = map(list, zip(*runs))
+    return WearReport(
+        policy="golden", mem_size_cells=sum(lengths),
+        counting_mode=CountingMode.ACCESSES, count_gc_traffic=True,
+        gc_count=0, event_count=0,
+        run_lengths=lengths, run_reads=reads, run_writes=writes,
+        summary=summarize(lengths, reads, writes))
+
+
+def csv_writer_percell(report):
+    """The percell-csv as csv.writer wrote it one row per cell."""
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["address", "reads", "writes"])
+    writer.writerows(zip(range(report.mem_size_cells),
+                         report.per_cell_reads, report.per_cell_writes))
+    return sink.getvalue()
+
+
 def make_report(reads, writes, mode=CountingMode.ACCESSES):
     return WearReport(
         policy="golden", mem_size_cells=len(reads), counting_mode=mode,
         count_gc_traffic=True, gc_count=3, event_count=11,
-        per_cell_reads=list(reads), per_cell_writes=list(writes),
-        summary=summarize(reads, writes, mode))
+        run_lengths=[1] * len(reads), run_reads=list(reads),
+        run_writes=list(writes),
+        summary=summarize([1] * len(reads), reads, writes, mode))
 
 
 class TestExport:
@@ -141,6 +208,41 @@ class TestExport:
         assert lines[1] == "0,1,0"
         reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
         assert (reads, writes) == (report.per_cell_reads, report.per_cell_writes)
+
+    # Chunks as short as one cell, so runs cross chunk bounds all the time,
+    # and one run always spans more than a chunk.
+    @given(st.data())
+    def test_percell_bytes_match_csv_writer(self, data):
+        chunk_cells = data.draw(st.integers(1, 8), label="chunk_cells")
+        runs = data.draw(runs_lists, label="runs")
+        long_run = (chunk_cells + data.draw(st.integers(1, 3)),
+                    data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+        runs.insert(data.draw(st.integers(0, len(runs))), long_run)
+        report = report_of_runs(runs)
+        sink = io.StringIO()
+        with mock.patch.object(metrics, "PERCELL_CHUNK_CELLS", chunk_cells):
+            write_percell_csv(report, sink)
+        assert sink.getvalue() == csv_writer_percell(report)
+        reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
+        assert (reads, writes) == cells_of(runs)
+
+    def test_run_longer_than_a_chunk(self):
+        long_run = metrics.PERCELL_CHUNK_CELLS + 3
+        report = report_of_runs([(2, 0, 0), (long_run, 1, 12), (1, 0, 0)])
+        sink = io.StringIO()
+        write_percell_csv(report, sink)
+        assert sink.getvalue() == csv_writer_percell(report)
+        reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
+        assert (reads, writes) == (report.per_cell_reads, report.per_cell_writes)
+
+    def test_percell_writes_in_bounded_chunks(self):
+        chunk = metrics.PERCELL_CHUNK_CELLS
+        report = report_of_runs([(5, 0, 1), (2 * chunk, 2, 0)])
+        sink = mock.Mock()
+        write_percell_csv(report, sink)
+        rows = [call.args[0].count("\n") for call in sink.write.call_args_list]
+        assert sum(rows) == 1 + 5 + 2 * chunk  # the header and every cell
+        assert max(rows) == chunk
 
     def test_percell_rejects_garbage(self):
         with pytest.raises(ValueError):

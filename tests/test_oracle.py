@@ -4,6 +4,8 @@ Generated traces are replayed under every policy kind, with and without
 GC traffic, in the trace's suggested memory and in tighter memories down
 to ones that run out.  Both sides must report the same per-cell counts
 and collection count, or fail on the same event with the same error.
+A few traces with few objects also run in memories of 2^20 and 2^21
+cells, where the engine's report is a handful of long runs.
 """
 
 import re
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from reference_replayer import bisected_golden_shift, reference_replay
 from wearsim.engine import (EngineConfig, ObjectTooLargeError,
                             OutOfMemoryError, replay)
+from wearsim.metrics import summarize
 from wearsim.policy import golden_shift, parse_policy
 from wearsim.trace import Trace
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
@@ -69,6 +72,19 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
             reference(trace.events[:index + 1])
         return
     assert_same_counts(report, reference(trace.events))
+
+
+@pytest.mark.parametrize("policy", ["golden", "single"])
+@pytest.mark.parametrize("pattern, mem", [("loop", 2 ** 21), ("hotspot", 2 ** 20)])
+def test_runs_match_reference_in_large_memory(pattern, mem, policy):
+    trace = generate(WorkloadSpec(pattern=pattern, object_count=6, op_count=300,
+                                  mean_object_size=16, gc_every=25, seed=7))
+    report = replay(trace, EngineConfig(mem, parse_policy(policy),
+                                        count_gc_traffic=True))
+    reference = reference_replay(trace, mem, policy, count_gc_traffic=True)
+    assert_same_counts(report, reference)
+    assert report.summary == summarize([1] * mem, reference.reads, reference.writes)
+    assert len(report.run_lengths) < 1000  # the report is runs, not cells
 
 
 @given(st.integers(min_value=2, max_value=2**64))
