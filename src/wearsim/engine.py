@@ -8,8 +8,10 @@ order of its current base cell, to consecutive addresses of the target
 space starting at the policy's next start location, and the target
 becomes the work space.  The target is the next space in turn: the idle
 ring with two rings, the work space itself with one, where the start is
-always 0.  Freed objects simply stop being copied; their cells are not
-reused between collections.
+always 0.  The object table holds only live objects, each a size and a
+base cell in the work space: a freed object leaves the table at once and
+simply stops being copied, and its cells are reclaimed at the next
+collection, not reused before it.
 
 Wear accounting: application reads and writes touch exactly the cells
 they name.  When GC traffic is counted, every relocated cell costs one
@@ -24,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from wearsim.memory import AccessKind, CellCounters
+from wearsim.memory import CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
 from wearsim.policy import Policy, PolicyState
-from wearsim.trace import Trace, TraceEvent
+from wearsim.trace import ACCESS_NOUNS, Trace, TraceEvent
 
 
 class SimulationError(Exception):
@@ -56,11 +58,10 @@ class OutOfBoundsError(SimulationError):
 
 @dataclass
 class ObjectRecord:
-    object_id: int
+    """A live object: its size and its base cell in the work space."""
+
     size_cells: int
-    ring: int
     base_cell: int
-    live: bool = True
 
 
 #: Largest memory an engine accepts.  Its counters take two 8-byte slots
@@ -104,8 +105,7 @@ class Engine:
         self.event_count = 0
 
     def handle_alloc(self, object_id: int, size_cells: int) -> None:
-        record = self.objects.get(object_id)
-        if record is not None and record.live:
+        if object_id in self.objects:
             raise SimulationError(f"alloc of live object {object_id}")
         if size_cells > self.capacity:
             raise ObjectTooLargeError(
@@ -117,49 +117,44 @@ class Engine:
                 raise OutOfMemoryError(
                     f"cannot allocate {size_cells} cells for object {object_id}: "
                     f"{self.live_len} cells live, {self.free_cells} free")
-        self.objects[object_id] = ObjectRecord(
-            object_id, size_cells, self.work_ring, self.alloc_cursor)
+        self.objects[object_id] = ObjectRecord(size_cells, self.alloc_cursor)
         self.alloc_cursor = (self.alloc_cursor + size_cells) % self.capacity
         self.free_cells -= size_cells
 
     def handle_free(self, object_id: int) -> None:
-        record = self.objects.get(object_id)
-        if record is None or not record.live:
+        if self.objects.pop(object_id, None) is None:
             raise InvalidFreeError(f"free of dead object {object_id}")
-        record.live = False  # cells reclaimed at the next collection
 
     def handle_access(self, object_id: int, offset: int, length: int,
-                      kind: AccessKind) -> None:
+                      kind: str) -> None:
+        """Record a read ("R") or write ("W") of part of a live object."""
         record = self.objects.get(object_id)
-        if record is None or not record.live:
-            raise UseAfterFreeError(f"{kind.value} of dead object {object_id}")
+        if record is None:
+            raise UseAfterFreeError(f"{ACCESS_NOUNS[kind]} of dead object {object_id}")
         if offset + length > record.size_cells:
             raise OutOfBoundsError(
-                f"{kind.value} of {length} cells at offset {offset} exceeds size "
-                f"{record.size_cells} of object {object_id}")
-        self.spaces[record.ring].record_range(
+                f"{ACCESS_NOUNS[kind]} of {length} cells at offset {offset} exceeds "
+                f"size {record.size_cells} of object {object_id}")
+        self.spaces[self.work_ring].record_range(
             (record.base_cell + offset) % self.capacity, length, kind)
 
     def handle_gc(self) -> None:
-        live = sorted((r for r in self.objects.values() if r.live),
-                      key=lambda r: r.base_cell)
+        live = sorted(self.objects.values(), key=lambda r: r.base_cell)
         count_traffic = self.config.count_gc_traffic
-        target = (self.work_ring + 1) % len(self.spaces)
+        source = self.work_ring
+        target = (source + 1) % len(self.spaces)
         start = self.policy_state.take(target, self.capacity)
         dest = start
         for record in live:
-            if (record.ring, record.base_cell) != (target, dest):
+            if (source, record.base_cell) != (target, dest):
                 if count_traffic:
-                    self.spaces[record.ring].record_range(
-                        record.base_cell, record.size_cells, AccessKind.READ)
-                    self.spaces[target].record_range(
-                        dest, record.size_cells, AccessKind.WRITE)
-                record.ring = target
+                    self.spaces[source].record_range(
+                        record.base_cell, record.size_cells, "R")
+                    self.spaces[target].record_range(dest, record.size_cells, "W")
                 record.base_cell = dest
             dest = (dest + record.size_cells) % self.capacity
-        self.work_ring = target
         # "clean" the old work space: metadata only, no cell traffic
-        self.objects = {r.object_id: r for r in live}
+        self.work_ring = target
         self.live_start = start
         self.live_len = sum(r.size_cells for r in live)
         self.alloc_cursor = (start + self.live_len) % self.capacity
@@ -178,10 +173,8 @@ class Engine:
             self.handle_alloc(event[1], event[2])
         elif opcode == "F":
             self.handle_free(event[1])
-        elif opcode == "R":
-            self.handle_access(event[1], event[2], event[3], AccessKind.READ)
-        elif opcode == "W":
-            self.handle_access(event[1], event[2], event[3], AccessKind.WRITE)
+        elif opcode == "R" or opcode == "W":
+            self.handle_access(event[1], event[2], event[3], opcode)
         elif opcode == "G":
             self.handle_gc()
         else:

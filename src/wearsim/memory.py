@@ -8,25 +8,19 @@ models data contents, timing, or device internals, because wear is
 decided purely by how often each cell is touched.
 
 Each access kind is kept as a difference array (Blelloch 1990, "Prefix
-Sums and Their Applications"): recording a range costs two O(1) updates,
-four when it wraps the seam, whatever its length.  A cell's count is
-the prefix sum of that array up to the cell.  Reports read the counts as
-runs of equal (reads, writes): a run starts wherever either array is
-nonzero, so the cost of finding the runs is one scan in C, and everything
-after it grows with the number of runs, not of cells.
+Sums and Their Applications"), keyed by the trace opcode that names the
+kind: "R" for reads, "W" for writes.  Recording a range costs two O(1)
+updates, four when it wraps the seam, whatever its length.  A cell's
+count is the prefix sum of that array up to the cell.  The counts are
+read only as runs of equal (reads, writes): a run starts wherever either
+array is nonzero, so the cost of finding the runs is one scan in C, and
+everything after it grows with the number of runs, not of cells.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import accumulate, compress, islice
 from operator import or_, sub
-from typing import Iterator
-
-
-class AccessKind(str, Enum):
-    READ = "read"
-    WRITE = "write"
 
 
 class CellCounters:
@@ -35,21 +29,21 @@ class CellCounters:
     Each kind is a difference array of `size_cells + 1` entries: a range
     adds 1 at its first cell and subtracts 1 just past its last, so the
     running sum up to cell c is c's count.  The extra entry takes the -1
-    of a range that ends at the last cell.  `reads`, `writes` and `runs`
-    build fresh lists on each call and leave the counters as they are.
+    of a range that ends at the last cell.  `runs` builds fresh lists on
+    each call and leaves the counters as they are.
     """
 
     def __init__(self, size_cells: int):
         if size_cells < 1:
             raise ValueError(f"size_cells must be >= 1, got {size_cells}")
         self.size_cells = size_cells
-        self._read_deltas = [0] * (size_cells + 1)
-        self._write_deltas = [0] * (size_cells + 1)
+        self._deltas = {"R": [0] * (size_cells + 1), "W": [0] * (size_cells + 1)}
 
-    def record_range(self, base_cell: int, len_cells: int, kind: AccessKind) -> None:
+    def record_range(self, base_cell: int, len_cells: int, kind: str) -> None:
         """Add one access of `kind` to each of `len_cells` cells from `base_cell`.
 
-        A range longer than the ring would overlap itself, so it is rejected.
+        `kind` is the access's opcode, "R" or "W".  A range longer than the
+        ring would overlap itself, so it is rejected.
         """
         size = self.size_cells
         if not 0 <= base_cell < size:
@@ -58,7 +52,10 @@ class CellCounters:
             raise ValueError(f"len_cells must be >= 1, got {len_cells}")
         if len_cells > size:
             raise ValueError(f"range of {len_cells} cells exceeds ring size {size}")
-        deltas = self._write_deltas if kind is AccessKind.WRITE else self._read_deltas
+        try:
+            deltas = self._deltas[kind]
+        except KeyError:
+            raise ValueError(f"access kind must be 'R' or 'W', got {kind!r}") from None
         end = base_cell + len_cells
         deltas[base_cell] += 1
         if end <= size:
@@ -77,7 +74,7 @@ class CellCounters:
         differ; its counts are the running sum of the deltas at the starts.
         """
         size = self.size_cells
-        reads, writes = self._read_deltas, self._write_deltas
+        reads, writes = self._deltas["R"], self._deltas["W"]
         starts = list(compress(range(size), map(or_, reads, writes)))
         if not starts or starts[0]:
             starts.insert(0, 0)
@@ -85,16 +82,3 @@ class CellCounters:
         return (lengths,
                 list(accumulate(map(reads.__getitem__, starts))),
                 list(accumulate(map(writes.__getitem__, starts))))
-
-    def iter_counts(self, kind: AccessKind) -> Iterator[int]:
-        """The per-cell counts of `kind`, cell 0 first, as a prefix-sum iterator."""
-        deltas = self._write_deltas if kind is AccessKind.WRITE else self._read_deltas
-        return accumulate(islice(deltas, self.size_cells))
-
-    @property
-    def reads(self) -> list[int]:
-        return list(self.iter_counts(AccessKind.READ))
-
-    @property
-    def writes(self) -> list[int]:
-        return list(self.iter_counts(AccessKind.WRITE))

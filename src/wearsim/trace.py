@@ -48,7 +48,6 @@ TraceEvent = tuple
 
 @dataclass(frozen=True)
 class TraceHeader:
-    format_version: int = FORMAT_VERSION
     suggested_mem_size_cells: int | None = None
 
 
@@ -72,6 +71,9 @@ TraceSource = Union[str, bytes, TextIO, BinaryIO]
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
 _LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
 
+#: The noun that validator and engine messages use for each access opcode.
+ACCESS_NOUNS = {"R": "read", "W": "write"}
+
 
 def _as_text(source: TraceSource) -> str:
     if isinstance(source, bytes):
@@ -83,18 +85,17 @@ def _as_text(source: TraceSource) -> str:
 
 
 def _parse_uint(token: str, line_no: int) -> int:
-    if not token or not all("0" <= c <= "9" for c in token):
+    if not (token.isascii() and token.isdigit()):
         raise TraceParseError(f"non-integer field '{token}'", line_no)
     return int(token)
 
 
-def _parse_version(line: str, line_no: int) -> int:
+def _parse_version(line: str, line_no: int) -> None:
     if not line.startswith(MAGIC_PREFIX):
         raise TraceParseError("malformed version line", line_no)
     version = _parse_uint(line[len(MAGIC_PREFIX):], line_no)
     if version != FORMAT_VERSION:
         raise TraceParseError(f"unsupported trace format version {version}", line_no)
-    return version
 
 
 def _parse_event(line: str, line_no: int) -> TraceEvent:
@@ -121,7 +122,6 @@ def parse_trace(source: TraceSource) -> Trace:
     """
     text = _as_text(source)
     events: list[TraceEvent] = []
-    version = FORMAT_VERSION
     suggested: int | None = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw  # tolerate CRLF input
@@ -129,7 +129,7 @@ def parse_trace(source: TraceSource) -> Trace:
             continue
         if line.startswith("#"):
             if line_no == 1 and line.startswith("#!"):
-                version = _parse_version(line, line_no)
+                _parse_version(line, line_no)
                 continue
             fields = line.split(" ")
             if fields[0] == "#mem":
@@ -138,7 +138,7 @@ def parse_trace(source: TraceSource) -> Trace:
                 suggested = _parse_uint(fields[1], line_no)
             continue
         events.append(_parse_event(line, line_no))
-    return Trace(events, TraceHeader(version, suggested))
+    return Trace(events, TraceHeader(suggested))
 
 
 def _malformation(event) -> str | None:
@@ -185,7 +185,7 @@ def validate_trace(trace: Trace) -> list[Violation]:
                 del live[event[1]]
         elif opcode != "G":
             _, object_id, offset, length = event
-            kind = "read" if opcode == "R" else "write"
+            kind = ACCESS_NOUNS[opcode]
             size = live.get(object_id)
             if size is None:
                 violations.append(Violation(
@@ -200,7 +200,7 @@ def validate_trace(trace: Trace) -> list[Violation]:
 
 def format_trace(trace: Trace) -> str:
     """Render a trace in the wire format; parse_trace inverts this exactly."""
-    lines = [f"{MAGIC_PREFIX}{trace.header.format_version}"]
+    lines = [f"{MAGIC_PREFIX}{FORMAT_VERSION}"]
     if trace.header.suggested_mem_size_cells is not None:
         lines.append(f"#mem {trace.header.suggested_mem_size_cells}")
     lines.extend(_LINE_FORMAT[event[0]] % event for event in trace.events)

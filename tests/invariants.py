@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 
-def live_records(engine):
-    return [r for r in engine.objects.values() if r.live]
-
-
 def assert_post_gc_invariants(engine):
-    """Live data forms one gap-free block at live_start, all on the work ring."""
-    live = live_records(engine)
+    """Live data forms one gap-free block at live_start of the work space."""
+    live = list(engine.objects.values())
     total = sum(r.size_cells for r in live)
     assert total == engine.live_len, "live_len out of sync with live objects"
     occupied = set()
     for record in live:
-        assert record.ring == engine.work_ring
         for i in range(record.size_cells):
             cell = (record.base_cell + i) % engine.capacity
             assert cell not in occupied, "live objects overlap"
@@ -27,8 +22,8 @@ def assert_post_gc_invariants(engine):
 def assert_disjoint_live(engine):
     """Live objects never overlap, GC or not."""
     occupied = set()
-    for record in live_records(engine):
+    for record in engine.objects.values():
         for i in range(record.size_cells):
-            cell = (record.ring, (record.base_cell + i) % engine.capacity)
+            cell = (record.base_cell + i) % engine.capacity
             assert cell not in occupied
             occupied.add(cell)

@@ -1,11 +1,11 @@
 import pytest
 
 from invariants import assert_disjoint_live, assert_post_gc_invariants
+from test_memory import cell_counts
 from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig,
                             InvalidFreeError, ObjectTooLargeError, OutOfBoundsError,
                             OutOfMemoryError, SimulationError,
                             UseAfterFreeError, replay)
-from wearsim.memory import AccessKind
 from wearsim.metrics import CountingMode
 from wearsim.policy import Policy, parse_policy
 from wearsim.trace import Trace
@@ -18,7 +18,8 @@ def engine_for(mem=20, policy="golden"):
 
 def cell_total(engine):
     """Reads plus writes over every cell of every space."""
-    return sum(sum(space.reads) + sum(space.writes) for space in engine.spaces)
+    return sum(length * (reads + writes) for space in engine.spaces
+               for length, reads, writes in zip(*space.runs()))
 
 
 class TestConfig:
@@ -68,7 +69,7 @@ class TestAlloc:
         engine.handle_free(1)
         engine.handle_alloc(2, 6)  # only fits once the dead cells are reclaimed
         assert engine.gc_count == 1
-        assert engine.objects[2].live
+        assert 2 in engine.objects
 
     def test_exact_fit_after_gc(self):
         engine = engine_for(20)
@@ -90,6 +91,11 @@ class TestAlloc:
         engine.handle_free(1)
         engine.handle_alloc(1, 3)
         assert engine.objects[1].size_cells == 3
+        engine.handle_gc()  # copies the new object once, all 3 of its cells
+        assert cell_counts(engine.spaces[0], "R") == [0, 0, 1, 1, 1, 0, 0, 0, 0, 0]
+        assert cell_counts(engine.spaces[1], "W") == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert cell_total(engine) == 6
+        assert engine.live_len == 3
 
 
 class TestFree:
@@ -97,7 +103,7 @@ class TestFree:
         engine = engine_for(20)
         engine.handle_alloc(1, 3)
         engine.handle_free(1)
-        assert not engine.objects[1].live
+        assert 1 not in engine.objects
         assert cell_total(engine) == 0
 
     def test_free_of_unknown_object(self):
@@ -131,10 +137,10 @@ class TestAccess:
         engine.handle_gc()  # to ring 0 at 0
         engine.handle_gc()  # to ring 1 at 8
         record = engine.objects[1]
-        assert (record.ring, record.base_cell) == (1, 8)
-        before = list(engine.spaces[1].writes)
+        assert (engine.work_ring, record.base_cell) == (1, 8)
+        before = cell_counts(engine.spaces[1], "W")
         engine.process(("W", 1, 0, 5))
-        after = engine.spaces[1].writes
+        after = cell_counts(engine.spaces[1], "W")
         touched = {c for c in range(10) if after[c] != before[c]}
         assert touched == {8, 9, 0, 1, 2}
 
@@ -168,9 +174,9 @@ class TestGc:
         engine.handle_free(0)
         engine.handle_gc()
         record = engine.objects[1]
-        assert (record.ring, record.base_cell) == (1, 0)
-        assert engine.spaces[0].reads == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0]
-        assert engine.spaces[1].writes == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert (engine.work_ring, record.base_cell) == (1, 0)
+        assert cell_counts(engine.spaces[0], "R") == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0]
+        assert cell_counts(engine.spaces[1], "W") == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
         assert engine.work_ring == 1
         assert_post_gc_invariants(engine)
 
@@ -235,8 +241,8 @@ class TestSingleSpace:
         engine.handle_free(1)
         engine.handle_gc()
         assert engine.objects[2].base_cell == 0
-        assert engine.spaces[0].reads[3:5] == [1, 1]
-        assert engine.spaces[0].writes[0:2] == [1, 1]
+        assert cell_counts(engine.spaces[0], "R")[3:5] == [1, 1]
+        assert cell_counts(engine.spaces[0], "W")[0:2] == [1, 1]
         assert cell_total(engine) == 4
 
     def test_uses_whole_memory_as_one_space(self):
@@ -250,15 +256,15 @@ class TestSingleSpace:
 class TestReportLayout:
     def test_ring_one_cell_follows_ring_zero(self):
         engine = engine_for(8)  # two rings of 4 cells
-        engine.spaces[0].record_range(0, 2, AccessKind.WRITE)
-        engine.spaces[1].record_range(3, 1, AccessKind.WRITE)
+        engine.spaces[0].record_range(0, 2, "W")
+        engine.spaces[1].record_range(3, 1, "W")
         report = engine.build_report()
         assert report.per_cell_writes == [1, 1, 0, 0, 0, 0, 0, 1]
         assert report.per_cell_reads == [0] * 8
 
     def test_single_space_cell_is_its_address(self):
         engine = engine_for(6, "single")
-        engine.spaces[0].record_range(3, 2, AccessKind.READ)
+        engine.spaces[0].record_range(3, 2, "R")
         report = engine.build_report()
         assert report.per_cell_reads == [0, 0, 0, 1, 1, 0]
         assert report.per_cell_writes == [0] * 6
@@ -321,6 +327,19 @@ class TestReplay:
         with pytest.raises(UseAfterFreeError, match="event 2:"):
             replay(trace, EngineConfig(20, Policy("golden")))
 
+    @pytest.mark.parametrize("events, message", [
+        ([("A", 1, 3), ("A", 1, 2)], "event 1: alloc of live object 1"),
+        ([("F", 2)], "event 0: free of dead object 2"),
+        ([("W", 5, 0, 1)], "event 0: write of dead object 5"),
+        ([("A", 1, 3), ("R", 1, 2, 2)],
+         "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1"),
+    ])
+    def test_messages(self, events, message):
+        # the strings validate_trace gives the same events
+        with pytest.raises(SimulationError) as err:
+            replay(Trace(events), EngineConfig(20, Policy("golden")))
+        assert str(err.value) == message
+
     def test_unknown_opcode_is_simulation_error(self):
         with pytest.raises(SimulationError, match="event 0: unknown event"):
             replay(Trace([("X", 1)]), EngineConfig(20, Policy("golden")))
@@ -346,8 +365,8 @@ class TestReplay:
             live_sets = []
             for engine in engines:
                 engine.process(event)
-                live_sets.append(sorted((r.object_id, r.size_cells)
-                                        for r in engine.objects.values() if r.live))
+                live_sets.append(sorted((object_id, r.size_cells)
+                                        for object_id, r in engine.objects.items()))
             assert all(s == live_sets[0] for s in live_sets)
 
     def test_live_objects_stay_disjoint(self):
