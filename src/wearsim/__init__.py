@@ -13,8 +13,7 @@ from wearsim.metrics import (CountingMode, SummaryStats, WearReport,
                              lifespan_extension, summarize, top_n_distribution)
 from wearsim.policy import (Policy, PolicyState, golden_shift, parse_policy,
                             start_sequence)
-from wearsim.trace import (Trace, TraceParseError, parse_trace, validate_trace,
-                           write_trace)
+from wearsim.trace import Trace, TraceParseError, parse_trace, validate_trace
 from wearsim.workload import WorkloadSpec, generate
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "TraceParseError",
     "parse_trace",
     "validate_trace",
-    "write_trace",
     "WorkloadSpec",
     "generate",
 ]

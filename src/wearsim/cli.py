@@ -14,6 +14,7 @@ import os
 import sys
 from collections import Counter
 from functools import partial
+from itertools import permutations
 
 from wearsim.engine import EngineConfig, SimulationError, replay
 from wearsim.metrics import (CountingMode, UndefinedExtensionError,
@@ -23,7 +24,7 @@ from wearsim.metrics import (CountingMode, UndefinedExtensionError,
                              write_percell_csv, write_summary_json,
                              write_topn_csv)
 from wearsim.policy import PolicyError, parse_policy
-from wearsim.trace import TraceParseError, parse_trace, validate_trace, write_trace
+from wearsim.trace import TraceParseError, format_trace, parse_trace, validate_trace
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
 
 EXIT_OK = 0
@@ -59,7 +60,7 @@ def _load_valid_trace(path: str):
     """Parse and validate a trace file; a bad one ends the command with exit 3."""
     try:
         with open(path, "rb") as f:
-            trace = parse_trace(f)
+            trace = parse_trace(f.read().decode("utf-8"))
     except OSError as err:
         raise _Exit(EXIT_BAD_TRACE, f"cannot read trace: {err}") from err
     except TraceParseError as err:
@@ -154,7 +155,7 @@ def _cmd_gen(args) -> int:
         trace = generate(spec)
     except ValueError as err:
         raise _Exit(EXIT_USAGE, str(err)) from err
-    _write_out(args.out, partial(write_trace, trace))
+    _write_out(args.out, lambda sink: sink.write(format_trace(trace)))
     print(f"wrote {len(trace.events)} events to {args.out}")
     return EXIT_OK
 
@@ -173,6 +174,9 @@ def _cmd_report(args) -> int:
                     raise _Exit(EXIT_USAGE,
                                 f"{other} and {path} would both write {out_path}")
             topn_paths[path] = out_path
+        elif not path.endswith(".json"):
+            raise _Exit(EXIT_BAD_TRACE,
+                        f"{path}: expected a .json summary or .csv percell file")
     # a summary is labelled by its stem unless another summary path shares it
     stem_uses = Counter(stems[path] for path in set(args.inputs)
                         if path.endswith(".json"))
@@ -184,14 +188,11 @@ def _cmd_report(args) -> int:
                     _, stats = load_summary(f)
                 label = stems[path] if stem_uses[stems[path]] == 1 else path
                 summaries.append((label, stats))
-            elif path.endswith(".csv"):
+            else:
                 with open(path, newline="") as f:
                     reads, writes = load_percell_csv(f)
                 counts = top_n_distribution(reads, writes, mode, args.topn)
-            else:
-                raise _Exit(EXIT_BAD_TRACE,
-                            f"{path}: expected a .json summary or .csv percell file")
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError, csv.Error) as err:
             raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
         if path in topn_paths:
             _write_out(topn_paths[path], partial(write_topn_csv, counts))
@@ -199,18 +200,15 @@ def _cmd_report(args) -> int:
     def emit_table(sink):
         writer = csv.writer(sink, lineterminator="\n")  # labels may hold commas
         writer.writerow(("baseline", "candidate", "avg_extension", "max_extension"))
-        for base_index, (base_name, base_stats) in enumerate(summaries):
-            for cand_index, (cand_name, cand_stats) in enumerate(summaries):
-                if cand_index == base_index:
-                    continue
-                try:
-                    ext = lifespan_extension(base_stats, cand_stats)
-                except UndefinedExtensionError:
-                    print(f"wearsim: skipping {base_name} vs {cand_name}: "
-                          "zero candidate statistic", file=sys.stderr)
-                    continue
-                writer.writerow(
-                    (base_name, cand_name, ext.avg_extension, ext.max_extension))
+        for (base_name, base), (cand_name, cand) in permutations(summaries, 2):
+            try:
+                ext = lifespan_extension(base, cand)
+            except UndefinedExtensionError:
+                print(f"wearsim: skipping {base_name} vs {cand_name}: "
+                      "zero candidate statistic", file=sys.stderr)
+                continue
+            writer.writerow(
+                (base_name, cand_name, ext.avg_extension, ext.max_extension))
 
     _write_out(args.out, emit_table)
     return EXIT_OK

@@ -20,17 +20,21 @@ Report formats:
     percell-csv    address,reads,writes over the full memory
     topn-csv       rank,count for the n busiest cells
     compare-csv    trace,policy,avg_all,avg_touched,max,touched,gc_count
+
+Writers take a text sink, and load_summary and load_percell_csv read a
+text stream.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from itertools import chain, compress, islice, repeat
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 
 class CountingMode(str, Enum):
@@ -149,13 +153,7 @@ def summary_json_dict(report: WearReport) -> dict:
         "count_gc_traffic": report.count_gc_traffic,
         "gc_count": report.gc_count,
         "event_count": report.event_count,
-        "summary": {
-            "avg_all_cells": report.summary.avg_all_cells,
-            "avg_touched_cells": report.summary.avg_touched_cells,
-            "max_cell": report.summary.max_cell,
-            "max_cell_address": report.summary.max_cell_address,
-            "touched_cell_count": report.summary.touched_cell_count,
-        },
+        "summary": asdict(report.summary),
     }
 
 
@@ -164,18 +162,31 @@ def write_summary_json(report: WearReport, sink) -> None:
     sink.write("\n")
 
 
-def load_summary(source) -> tuple[dict, SummaryStats]:
-    """Read back a summary-json document; returns (full dict, stats)."""
-    data = json.load(source) if hasattr(source, "read") else json.loads(source)
-    s = data["summary"]
-    stats = SummaryStats(
-        avg_all_cells=float(s["avg_all_cells"]),
-        avg_touched_cells=float(s["avg_touched_cells"]),
-        max_cell=int(s["max_cell"]),
-        max_cell_address=int(s["max_cell_address"]),
-        touched_cell_count=int(s["touched_cell_count"]),
-    )
-    return data, stats
+def load_summary(source: TextIO) -> tuple[dict, SummaryStats]:
+    """Read back a summary-json text stream; returns (full dict, stats).
+
+    Raises ValueError unless ``summary`` is an object holding each
+    SummaryStats field as write_summary_json writes it: an int, not a bool,
+    for an int field and an int or a float for a float field, in either
+    case finite and within float range so that extension ratios are floats.
+    """
+    try:
+        data = json.load(source)
+    except RecursionError as err:
+        raise ValueError("not a summary-json file: nested too deeply") from err
+    summary = data.get("summary") if type(data) is dict else None
+    if type(summary) is not dict:
+        raise ValueError("not a summary-json file: no summary object")
+    stats = {}
+    for f in fields(SummaryStats):
+        value = summary.get(f.name)
+        is_float = f.type == "float"  # annotations are strings in this module
+        if (type(value) not in ((int, float) if is_float else (int,))
+                or not -sys.float_info.max <= value <= sys.float_info.max):
+            raise ValueError(f"summary field {f.name!r} is missing or not "
+                             f"{'a finite number' if is_float else 'an integer'}")
+        stats[f.name] = float(value) if is_float else value
+    return data, SummaryStats(**stats)
 
 
 #: Most cells per write to the sink, so a long run is never one string.
@@ -197,15 +208,23 @@ def write_percell_csv(report: WearReport, sink) -> None:
         start = end
 
 
-def load_percell_csv(source) -> tuple[list[int], list[int]]:
-    """Read back a percell-csv document; returns (reads, writes)."""
-    rows = list(csv.reader(source))
-    if not rows or rows[0] != ["address", "reads", "writes"]:
+def _is_uint(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
+def load_percell_csv(source: TextIO) -> tuple[list[int], list[int]]:
+    """Read back a percell-csv text stream; returns (reads, writes).
+
+    Each field is an unsigned decimal of ASCII digits, as trace fields
+    are, and the addresses run 0, 1, 2, ... in order.
+    """
+    rows = csv.reader(source)
+    if next(rows, None) != ["address", "reads", "writes"]:
         raise ValueError("not a percell-csv file: bad or missing header")
     reads: list[int] = []
     writes: list[int] = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 3 or int(row[0]) != i:
+    for i, row in enumerate(rows):
+        if len(row) != 3 or not all(map(_is_uint, row)) or int(row[0]) != i:
             raise ValueError(f"percell-csv row {i + 1} malformed")
         reads.append(int(row[1]))
         writes.append(int(row[2]))

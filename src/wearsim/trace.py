@@ -1,4 +1,4 @@
-"""Object-relative memory trace format: parser, writer, and validator.
+"""Object-relative memory trace format: parser, formatter, and validator.
 
 A trace records one program's memory behavior as a sequence of
 object-level operations.  Objects are named by integer ids rather than
@@ -18,6 +18,8 @@ Wire format (UTF-8 text, LF line endings)::
     G                      garbage-collection trigger
 
 Fields are decimal unsigned integers separated by single spaces.
+parse_trace reads the format from a ``str`` and format_trace renders it
+to one; callers do their own file I/O and decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
@@ -28,7 +30,6 @@ hand-built tuple that no line could produce as a ``malformed-event``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import BinaryIO, TextIO, Union
 
 FORMAT_VERSION = 1
 MAGIC_PREFIX = "#! wearsim-trace v"
@@ -66,22 +67,11 @@ class Violation:
     message: str
 
 
-TraceSource = Union[str, bytes, TextIO, BinaryIO]
-
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
 _LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
 
 #: The noun that validator and engine messages use for each access opcode.
 ACCESS_NOUNS = {"R": "read", "W": "write"}
-
-
-def _as_text(source: TraceSource) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
 def _parse_uint(token: str, line_no: int) -> int:
@@ -114,13 +104,13 @@ def _parse_event(line: str, line_no: int) -> TraceEvent:
     return event
 
 
-def parse_trace(source: TraceSource) -> Trace:
-    """Parse the text wire format into a Trace.
+def parse_trace(text: str) -> Trace:
+    """Parse wire-format text into a Trace.
 
-    Accepts a string, UTF-8 bytes, or a file-like object.  Raises
-    TraceParseError naming the first offending line.
+    Takes the whole trace as one string; LF and CRLF line endings are
+    both accepted.  Raises TraceParseError naming the first offending
+    line.
     """
-    text = _as_text(source)
     events: list[TraceEvent] = []
     suggested: int | None = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -205,12 +195,3 @@ def format_trace(trace: Trace) -> str:
         lines.append(f"#mem {trace.header.suggested_mem_size_cells}")
     lines.extend(_LINE_FORMAT[event[0]] % event for event in trace.events)
     return "\n".join(lines) + "\n"
-
-
-def write_trace(trace: Trace, sink) -> None:
-    """Write the wire format to a text or binary sink."""
-    text = format_trace(trace)
-    try:
-        sink.write(text)
-    except TypeError:
-        sink.write(text.encode("utf-8"))

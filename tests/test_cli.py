@@ -19,6 +19,14 @@ def write_file(path, text):
     return str(path)
 
 
+def summary_text(**fields):
+    """A summary-json document: a trivial run's stats, with `fields` as raw JSON."""
+    values = {"avg_all_cells": "0.3", "avg_touched_cells": "1.0", "max_cell": "2",
+              "max_cell_address": "0", "touched_cell_count": "6", **fields}
+    body = ", ".join(f'"{key}": {value}' for key, value in values.items())
+    return '{"policy": "none", "summary": {' + body + "}}"
+
+
 def run_summary(tmp_path, trace_path, policy, mem=20, extra=()):
     out = tmp_path / f"summary_{policy.replace(':', '_')}.json"
     code = main(["run", "--trace", trace_path, "--mem-size", str(mem),
@@ -57,7 +65,7 @@ class TestRun:
     @pytest.mark.parametrize("header, flags, needs", [
         ("", ["--mem-size", str(2 ** 26 + 2)], "1.0 GiB"),
         ("#mem 1549539408\n", [], "23.1 GiB"),
-    ])
+    ], ids=["mem-size-flag", "mem-header"])
     def test_memory_past_the_limit_is_usage_error(self, tmp_path, capsys, command,
                                                   header, flags, needs):
         trace = write_file(tmp_path / "t.trace", header + TRIVIAL)
@@ -159,7 +167,8 @@ class TestRun:
         with open(topn) as f:
             top_rows = list(csv.reader(f))
         assert top_rows[0] == ["rank", "count"]
-        _, stats = load_summary(out.read_text())
+        with open(out) as f:
+            _, stats = load_summary(f)
         assert int(top_rows[1][1]) == stats.max_cell
 
     def test_writes_only_counting(self, tmp_path):
@@ -169,7 +178,8 @@ class TestRun:
         assert main(["run", "--trace", trace, "--mem-size", "20",
                      "--policy", "none", "--count", "writes",
                      "--out", str(out)]) == 0
-        meta_w, stats_w = load_summary(out.read_text())
+        with open(out) as f:
+            meta_w, stats_w = load_summary(f)
         assert meta_w["counting_mode"] == "writes"
         assert stats_w.max_cell <= stats_a.max_cell
 
@@ -205,8 +215,7 @@ class TestGen:
         assert main(["gen", "--pattern", "loop", "--objects", "4",
                      "--ops", "100", "--out", str(trace)]) == 0
         message = capsys.readouterr().out
-        with open(trace, "rb") as f:
-            parsed = parse_trace(f)
+        parsed = parse_trace(trace.read_text())
         assert f"wrote {len(parsed.events)} events" in message
 
 
@@ -365,9 +374,31 @@ class TestReport:
         bad = write_file(tmp_path / "bad.json", "{not json")
         assert main(["report", bad]) == 3
 
+    # a summary_text document is well formed but for the one field it is given
+    @pytest.mark.parametrize("name, text", [
+        ("s.json", "[]"),
+        ("s.json", '{"summary": null}'),
+        ("s.json", summary_text(max_cell="[1]")),
+        ("s.json", summary_text(max_cell="true")),
+        ("s.json", summary_text(max_cell="1e400")),
+        ("s.json", summary_text(avg_all_cells="1" + "0" * 400)),
+        ("s.json", "[" * 100_000),
+        ("c.csv", "address,reads,writes\n0," + "1" * 200_000 + ",0\n"),
+    ], ids=["list", "null-summary", "list-field", "bool-field",
+            "float-past-range", "int-past-range", "nested", "long-csv-field"])
+    def test_unreadable_input_exits_3_in_one_line(self, tmp_path, capsys, name,
+                                                   text):
+        path = write_file(tmp_path / name, text)
+        assert main(["report", path, "--out", str(tmp_path / "ext.csv")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"wearsim: error: {path}: ")
+
     def test_unrecognized_input_exits_3(self, tmp_path):
         other = write_file(tmp_path / "x.txt", "hello")
         assert main(["report", other]) == 3
+        percell = write_file(tmp_path / "a.csv", "address,reads,writes\n0,1,0\n")
+        assert main(["report", percell, other]) == 3
+        assert not (tmp_path / "a_top1000.csv").exists()
 
 
 class TestPipelineDeterminism:

@@ -247,12 +247,18 @@ class TestExport:
     def test_percell_rejects_garbage(self):
         with pytest.raises(ValueError):
             load_percell_csv(io.StringIO("rank,count\n1,2\n"))
+        # every field is an unsigned decimal of ASCII digits, as in a trace
+        for token in ["1_0", "+2", " 3", "\u0663", "-5"]:
+            for row in [f"{token},0,0", f"0,{token},0", f"0,0,{token}"]:
+                with pytest.raises(ValueError, match="row 1 malformed"):
+                    load_percell_csv(
+                        io.StringIO(f"address,reads,writes\n{row}\n"))
 
     def test_summary_json_round_trip(self):
         report = make_report([0, 3], [2, 4])
         sink = io.StringIO()
         write_summary_json(report, sink)
-        meta, stats = load_summary(sink.getvalue())
+        meta, stats = load_summary(io.StringIO(sink.getvalue()))
         assert stats == report.summary
         assert meta["policy"] == "golden"
         assert meta["mem_size_cells"] == 2

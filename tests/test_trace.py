@@ -1,10 +1,8 @@
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
 from wearsim.trace import (Trace, TraceHeader, TraceParseError, format_trace,
-                           parse_trace, validate_trace, write_trace)
+                           parse_trace, validate_trace)
 
 uints = st.integers(min_value=0, max_value=10**9)
 sizes = st.integers(min_value=1, max_value=10**6)
@@ -91,13 +89,6 @@ class TestParse:
             parse_trace("# one\n\n# three\nF 0 extra\n")
         assert err.value.line_no == 4
 
-    def test_bytes_and_streams(self):
-        text = "A 1 3\nF 1\n"
-        expected = parse_trace(text)
-        assert parse_trace(text.encode()) == expected
-        assert parse_trace(io.BytesIO(text.encode())) == expected
-        assert parse_trace(io.StringIO(text)) == expected
-
     def test_crlf_tolerated(self):
         assert parse_trace("A 1 3\r\nG\r\n").events == [("A", 1, 3), ("G",)]
 
@@ -179,14 +170,6 @@ class TestWrite:
     def test_mem_header_written(self):
         trace = Trace([("G",)], TraceHeader(suggested_mem_size_cells=64))
         assert format_trace(trace) == "#! wearsim-trace v1\n#mem 64\nG\n"
-
-    def test_text_and_binary_sinks(self):
-        trace = Trace([("F", 3)])
-        text_sink = io.StringIO()
-        write_trace(trace, text_sink)
-        binary_sink = io.BytesIO()
-        write_trace(trace, binary_sink)
-        assert text_sink.getvalue().encode() == binary_sink.getvalue()
 
     @given(traces)
     def test_round_trip(self, trace):
