@@ -13,6 +13,7 @@ import csv
 import os
 import sys
 from collections import Counter
+from dataclasses import astuple
 from functools import partial
 from itertools import permutations
 
@@ -22,7 +23,7 @@ from wearsim.metrics import (CountingMode, UndefinedExtensionError,
                              load_percell_csv, load_summary,
                              top_n_distribution, write_compare_csv,
                              write_percell_csv, write_summary_json,
-                             write_topn_csv)
+                             write_table, write_topn_csv)
 from wearsim.policy import PolicyError, parse_policy
 from wearsim.trace import TraceParseError, format_trace, parse_trace, validate_trace
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
@@ -124,20 +125,16 @@ def _cmd_compare(args) -> int:
     reports = _replay_each(args, policy_specs)
     trace_name = os.path.basename(args.trace)
     rows = [compare_csv_row(trace_name, report) for report in reports]
-    _write_out(args.out, lambda sink: write_compare_csv(rows, sink))
     baseline = reports[0].summary
-    try:
-        extensions = [lifespan_extension(baseline, r.summary) for r in reports]
+    try:  # before any output, so a failing compare writes none
+        extensions = [(r.policy, *astuple(lifespan_extension(baseline, r.summary)))
+                      for r in reports]
     except UndefinedExtensionError as err:
         raise _Exit(EXIT_SIMULATION, str(err)) from err
-
-    def emit_extensions(sink):
-        sink.write("policy,avg_extension,max_extension\n")
-        for report, ext in zip(reports, extensions):
-            sink.write(f"{report.policy},{ext.avg_extension!r},"
-                       f"{ext.max_extension!r}\n")
-
-    _write_out(args.extensions_out, emit_extensions)
+    _write_out(args.out, partial(write_compare_csv, rows))
+    _write_out(args.extensions_out,
+               partial(write_table, ("policy", "avg_extension", "max_extension"),
+                       extensions))
     return EXIT_OK
 
 
@@ -181,7 +178,8 @@ def _cmd_report(args) -> int:
     stem_uses = Counter(stems[path] for path in set(args.inputs)
                         if path.endswith(".json"))
     summaries: list[tuple[str, object]] = []
-    for path in args.inputs:
+    top_counts: dict[str, list[int]] = {}  # topn-csv path -> its counts
+    for path in args.inputs:  # every input is read before any output is written
         try:
             if path.endswith(".json"):
                 with open(path) as f:
@@ -189,28 +187,24 @@ def _cmd_report(args) -> int:
                 label = stems[path] if stem_uses[stems[path]] == 1 else path
                 summaries.append((label, stats))
             else:
-                with open(path, newline="") as f:
-                    reads, writes = load_percell_csv(f)
-                counts = top_n_distribution(reads, writes, mode, args.topn)
+                with open(path, newline="") as f:  # keeps no per-cell list
+                    top_counts[topn_paths[path]] = top_n_distribution(
+                        *load_percell_csv(f), mode, args.topn)
         except (OSError, ValueError, csv.Error) as err:
             raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
-        if path in topn_paths:
-            _write_out(topn_paths[path], partial(write_topn_csv, counts))
-
-    def emit_table(sink):
-        writer = csv.writer(sink, lineterminator="\n")  # labels may hold commas
-        writer.writerow(("baseline", "candidate", "avg_extension", "max_extension"))
-        for (base_name, base), (cand_name, cand) in permutations(summaries, 2):
-            try:
-                ext = lifespan_extension(base, cand)
-            except UndefinedExtensionError:
-                print(f"wearsim: skipping {base_name} vs {cand_name}: "
-                      "zero candidate statistic", file=sys.stderr)
-                continue
-            writer.writerow(
-                (base_name, cand_name, ext.avg_extension, ext.max_extension))
-
-    _write_out(args.out, emit_table)
+    for out_path, counts in top_counts.items():
+        _write_out(out_path, partial(write_topn_csv, counts))
+    rows = []
+    for (base_name, base), (cand_name, cand) in permutations(summaries, 2):
+        try:
+            rows.append((base_name, cand_name,
+                         *astuple(lifespan_extension(base, cand))))
+        except UndefinedExtensionError:
+            print(f"wearsim: skipping {base_name} vs {cand_name}: "
+                  "zero candidate statistic", file=sys.stderr)
+    _write_out(args.out, partial(
+        write_table, ("baseline", "candidate", "avg_extension", "max_extension"),
+        rows))
     return EXIT_OK
 
 

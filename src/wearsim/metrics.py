@@ -14,15 +14,17 @@ report of millions of cells has a few hundred runs, and the statistics
 cost per run, not per cell; per-cell counts are runs of length 1.  The
 percell-csv export writes one row per cell all the same.
 
-Report formats:
+Report formats, each written to a text sink:
 
     summary-json   config echo, gc/event counts, summary statistics
     percell-csv    address,reads,writes over the full memory
     topn-csv       rank,count for the n busiest cells
     compare-csv    trace,policy,avg_all,avg_touched,max,touched,gc_count
+    extension-csv  policy,avg_extension,max_extension against compare's first
+    report-csv     baseline,candidate,avg_extension,max_extension per pair
 
-Writers take a text sink, and load_summary and load_percell_csv read a
-text stream.
+write_table writes every CSV table but percell-csv, and load_summary and
+load_percell_csv read a text stream.
 """
 
 from __future__ import annotations
@@ -231,11 +233,15 @@ def load_percell_csv(source: TextIO) -> tuple[list[int], list[int]]:
     return reads, writes
 
 
-def write_topn_csv(counts: Sequence[int], sink) -> None:
+def write_table(header: Sequence, rows: Iterable[Sequence], sink) -> None:
+    """Header and rows as CSV; quotes a field holding a comma or a quote."""
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["rank", "count"])
-    for rank, count in enumerate(counts, start=1):
-        writer.writerow([rank, count])
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def write_topn_csv(counts: Sequence[int], sink) -> None:
+    write_table(("rank", "count"), enumerate(counts, start=1), sink)
 
 
 COMPARE_CSV_HEADER = ("trace", "policy", "avg_all", "avg_touched",
@@ -250,7 +256,4 @@ def compare_csv_row(trace_name: str, report: WearReport) -> tuple:
 
 
 def write_compare_csv(rows: Iterable[tuple], sink) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(COMPARE_CSV_HEADER)
-    writer.writerows(rows)
-
+    write_table(COMPARE_CSV_HEADER, rows, sink)

@@ -13,8 +13,13 @@ Policy spec strings, as accepted on the command line:
     quarter         shift by a quarter of the ring
     fraction:<f>    shift by floor(ring_size * f), f in [0, 1)
     none            always compact to the ring head
-    random:<seed>   seeded uniform start per use (Mersenne Twister)
+    random:<seed>   seeded uniform start per use (Mersenne Twister), seed >= 0
     single          one space, compacted onto itself, always to address 0
+
+A kind in POLICY_ARGS takes one argument after a colon: an unsigned
+decimal, as trace and percell fields are, so ASCII, led by a digit or
+'.', with no whitespace, '_' or sign (a seed is digits; a fraction reads
+0.25, .5 or 2.5e-1).  parse_policy reads back what spec_string writes.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from dataclasses import dataclass
 #: degrees of a full turn.
 GOLDEN_FRACTION = (3 - math.sqrt(5)) / 2
 
-DUAL_RING_KINDS = ("golden", "quarter", "fraction", "none", "random")
-POLICY_KINDS = DUAL_RING_KINDS + ("single",)
+POLICY_KINDS = ("golden", "quarter", "fraction", "none", "random", "single")
+#: The kinds that take an argument, and the type it is read as.
+POLICY_ARGS = {"fraction": float, "random": int}
 
 
 class PolicyError(ValueError):
@@ -54,22 +60,21 @@ class Policy:
     """One wear-leveling policy choice."""
 
     kind: str
-    fraction: float | None = None  # "fraction" kind only
-    seed: int | None = None        # "random" kind only
+    arg: float | int | None = None  # the fraction or the seed; see POLICY_ARGS
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise PolicyError(f"unknown policy kind '{self.kind}'")
         if self.kind == "fraction":
-            if self.fraction is None or not 0.0 <= self.fraction < 1.0:
-                raise PolicyError("fraction must be in [0, 1)")
-        elif self.fraction is not None:
-            raise PolicyError(f"policy '{self.kind}' takes no fraction")
-        if self.kind == "random":
-            if self.seed is None or self.seed < 0:
-                raise PolicyError("random policy needs a seed >= 0")
-        elif self.seed is not None:
-            raise PolicyError(f"policy '{self.kind}' takes no seed")
+            # a negative zero would be written as a signed spec
+            if (type(self.arg) is not float or not 0.0 <= self.arg < 1.0
+                    or math.copysign(1.0, self.arg) < 0):
+                raise PolicyError("fraction must be a float in [0, 1)")
+        elif self.kind == "random":
+            if type(self.arg) is not int or self.arg < 0:
+                raise PolicyError("random policy needs an int seed >= 0")
+        elif self.arg is not None:
+            raise PolicyError(f"policy '{self.kind}' takes no argument")
 
     @property
     def is_dual_ring(self) -> bool:
@@ -82,43 +87,37 @@ class Policy:
         if self.kind == "quarter":
             return ring_size // 4
         if self.kind == "fraction":
-            return math.floor(ring_size * self.fraction)
+            return math.floor(ring_size * self.arg)
         if self.kind in ("none", "single"):
             return 0
         raise PolicyError(f"policy '{self.kind}' has no constant shift")
 
     def spec_string(self) -> str:
-        if self.kind == "fraction":
-            return f"fraction:{self.fraction!r}"
-        if self.kind == "random":
-            return f"random:{self.seed}"
-        return self.kind
+        return self.kind if self.arg is None else f"{self.kind}:{self.arg!r}"
 
 
 def parse_policy(spec: str) -> Policy:
     """Parse a policy spec string (see module docstring for the grammar)."""
-    name, sep, arg = spec.partition(":")
-    if name == "fraction":
-        if not sep:
-            raise PolicyError("fraction policy needs a value, e.g. fraction:0.25")
-        try:
-            value = float(arg)
-        except ValueError:
-            raise PolicyError(f"bad fraction '{arg}'") from None
-        return Policy("fraction", fraction=value)
-    if name == "random":
-        if not sep:
-            raise PolicyError("random policy needs a seed, e.g. random:42")
-        try:
-            seed = int(arg)
-        except ValueError:
-            raise PolicyError(f"bad seed '{arg}'") from None
-        return Policy("random", seed=seed)
-    if sep:
-        raise PolicyError(f"policy '{name}' takes no argument")
-    if name in ("golden", "quarter", "none", "single"):
-        return Policy(name)
-    raise PolicyError(f"unknown policy '{spec}'")
+    kind, sep, text = spec.partition(":")
+    if kind not in POLICY_KINDS:
+        raise PolicyError(f"unknown policy '{spec}'")
+    arg_type = POLICY_ARGS.get(kind)
+    if arg_type is None:
+        if sep:
+            raise PolicyError(f"policy '{kind}' takes no argument")
+        return Policy(kind)
+    if not sep:
+        raise PolicyError(f"policy '{kind}' needs an argument after a colon")
+    try:
+        # the unsigned-decimal rule; int() and float() alone would also
+        # take whitespace, '_', a sign and non-ASCII digits
+        if not (text.isascii() and (text[:1].isdigit() or text[:1] == ".")
+                and "_" not in text and not any(map(str.isspace, text))):
+            raise ValueError
+        value = arg_type(text)
+    except ValueError:
+        raise PolicyError(f"bad {kind} argument '{text}'") from None
+    return Policy(kind, value)
 
 
 class PolicyState:
@@ -134,7 +133,7 @@ class PolicyState:
     def __init__(self, policy: Policy):
         self.policy = policy
         self.next_start = [0, 0]  # first use of either ring starts at its head
-        self._rng = random.Random(policy.seed) if policy.kind == "random" else None
+        self._rng = random.Random(policy.arg) if policy.kind == "random" else None
 
     def take(self, ring: int, ring_size: int) -> int:
         """Start location for this compaction; advances the ring's progression."""

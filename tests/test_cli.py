@@ -263,6 +263,29 @@ class TestCompare:
         assert float(ext_rows["none"]["max_extension"]) == 1.0
         assert float(ext_rows["golden"]["max_extension"]) > 1.0
 
+    def test_extension_table_bytes(self, tmp_path, hotspot_trace):
+        ext = tmp_path / "ext.csv"
+        assert main(["compare", "--trace", hotspot_trace, "--mem-size", "2048",
+                     "--policies", "none,golden,fraction:0.3,random:1,single",
+                     "--out", str(tmp_path / "cmp.csv"),
+                     "--extensions-out", str(ext)]) == 0
+        assert ext.read_text() == (
+            "policy,avg_extension,max_extension\n"
+            "none,1.0,1.0\n"
+            "golden,1.0,9.109375\n"
+            "fraction:0.3,1.0,8.44927536231884\n"
+            "random:1,1.0,8.96923076923077\n"
+            "single,3.0442619210586357,0.5578947368421052\n")
+
+    def test_undefined_extension_writes_no_output(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "t.trace", "A 1 3\n")
+        out, ext = tmp_path / "cmp.csv", tmp_path / "ext.csv"
+        assert main(["compare", "--trace", trace, "--mem-size", "20",
+                     "--policies", "none,golden", "--out", str(out),
+                     "--extensions-out", str(ext)]) == 4
+        assert "candidate has zero accesses" in capsys.readouterr().err
+        assert not out.exists() and not ext.exists()
+
     def test_rows_match_individual_runs(self, tmp_path, hotspot_trace):
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--trace", hotspot_trace, "--mem-size", "1024",
@@ -300,6 +323,26 @@ class TestReport:
         key = ("summary_none", "summary_golden")
         expected = none_stats.max_cell / golden_stats.max_cell
         assert float(by_pair[key]["max_extension"]) == expected
+
+    def test_extension_table_bytes(self, tmp_path):
+        trace = write_file(tmp_path / "t.trace",
+                           TRIVIAL + "A 2 2\nR 2 0 2\nG\nW 1 1 1\nG\n")
+        summaries = []
+        for policy, name, extra in (("none", "a,1", ()), ("golden", "b", ()),
+                                    ("golden", 'c"q', ("--no-gc-traffic",))):
+            summaries.append(str(tmp_path / f"{name}.json"))
+            assert main(["run", "--trace", trace, "--mem-size", "20", "--policy",
+                         policy, "--out", summaries[-1], *extra]) == 0
+        table = tmp_path / "ext.csv"
+        assert main(["report", *summaries, "--out", str(table)]) == 0
+        assert table.read_text() == (
+            "baseline,candidate,avg_extension,max_extension\n"
+            '"a,1",b,1.0,1.0\n'
+            '"a,1","c""q",5.333333333333334,2.5\n'
+            'b,"a,1",1.0,1.0\n'
+            'b,"c""q",5.333333333333334,2.5\n'
+            '"c""q","a,1",0.18749999999999997,0.4\n'
+            '"c""q",b,0.18749999999999997,0.4\n')
 
     def test_topn_from_percell(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
@@ -392,6 +435,13 @@ class TestReport:
         assert main(["report", path, "--out", str(tmp_path / "ext.csv")]) == 3
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"wearsim: error: {path}: ")
+
+    def test_unreadable_summary_writes_no_topn(self, tmp_path):
+        percell = write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
+        bad = write_file(tmp_path / "bad.json", "[]")
+        table = tmp_path / "ext.csv"
+        assert main(["report", percell, bad, "--out", str(table)]) == 3
+        assert not (tmp_path / "p_top1000.csv").exists() and not table.exists()
 
     def test_unrecognized_input_exits_3(self, tmp_path):
         other = write_file(tmp_path / "x.txt", "hello")

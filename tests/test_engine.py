@@ -319,7 +319,7 @@ class TestReplay:
 
     def test_deterministic(self):
         trace = generate(WorkloadSpec("churn", 10, 500, 3, seed=5))
-        config = EngineConfig(256, Policy("random", seed=42))
+        config = EngineConfig(256, Policy("random", 42))
         assert replay(trace, config) == replay(trace, config)
 
     def test_errors_name_the_event_index(self):

@@ -48,18 +48,34 @@ class TestParsePolicy:
         assert parse_policy(spec) == Policy(kind)
 
     def test_fraction(self):
-        assert parse_policy("fraction:0.25") == Policy("fraction", fraction=0.25)
+        assert parse_policy("fraction:0.25") == Policy("fraction", 0.25)
 
     def test_random(self):
-        assert parse_policy("random:42") == Policy("random", seed=42)
+        assert parse_policy("random:42") == Policy("random", 42)
+
+    @pytest.mark.parametrize("spec, fraction", [
+        ("fraction:.5", 0.5), ("fraction:2.5e-1", 0.25),
+    ])
+    def test_fraction_spellings(self, spec, fraction):
+        assert parse_policy(spec) == Policy("fraction", fraction)
 
     @pytest.mark.parametrize("spec", [
         "goldenish", "fraction", "fraction:x", "fraction:1.0", "fraction:-0.1",
         "random", "random:x", "golden:1", "",
+        # arguments are unsigned ASCII decimals, as trace fields are
+        "random:\u0663", "random:1_000", "random:+5", "random: 5",
+        "fraction:\u0660.5", "fraction: 0.25", "fraction:0.1_0", "fraction:-0.0",
     ])
     def test_rejects(self, spec):
         with pytest.raises(PolicyError):
             parse_policy(spec)
+
+    @given(st.one_of(
+        st.sampled_from(["golden", "quarter", "none", "single"]).map(Policy),
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda f: Policy("fraction", f)),
+        st.integers(min_value=0).map(lambda seed: Policy("random", seed))))
+    def test_every_spec_round_trips(self, policy):
+        assert parse_policy(policy.spec_string()) == policy
 
     def test_spec_string_round_trips(self):
         for spec in ("golden", "quarter", "fraction:0.125", "none",
@@ -78,7 +94,15 @@ class TestPolicyValidation:
 
     def test_golden_takes_no_seed(self):
         with pytest.raises(PolicyError):
-            Policy("golden", seed=1)
+            Policy("golden", 1)
+
+    @pytest.mark.parametrize("kind, arg", [
+        ("fraction", 0), ("fraction", -0.0),
+        ("fraction", float("nan")), ("random", 0.5), ("random", True),
+    ])
+    def test_argument_of_wrong_type_or_range(self, kind, arg):
+        with pytest.raises(PolicyError):
+            Policy(kind, arg)
 
 
 class TestStartProgression:
@@ -98,10 +122,10 @@ class TestStartProgression:
                     == start_sequence(policy, 777, 50))
 
     def test_random_first_use_is_head_then_seeded(self):
-        seq = start_sequence(Policy("random", seed=42), 100, 20)
+        seq = start_sequence(Policy("random", 42), 100, 20)
         assert seq[0] == 0
         assert all(0 <= x < 100 for x in seq)
-        assert seq != start_sequence(Policy("random", seed=43), 100, 20)
+        assert seq != start_sequence(Policy("random", 43), 100, 20)
 
     def test_rings_progress_independently(self):
         state = PolicyState(Policy("golden"))
