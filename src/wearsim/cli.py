@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 unreadable or invalid trace /
 malformed report input, 4 simulation error (e.g. out of memory).  A
 command that fails raises `_Exit`, which carries the code and the error
 lines; `main` alone prints those lines and returns the code.
+
+Every number on the command line is an unsigned ASCII decimal, read by
+trace.parse_uint or, for a fraction, by policy.parse_fraction.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from dataclasses import astuple
 from functools import partial
 from itertools import permutations
 
-from wearsim.engine import EngineConfig, SimulationError, replay
+from wearsim.engine import MAX_MEM_CELLS, EngineConfig, SimulationError, replay
 from wearsim.metrics import (CountingMode, UndefinedExtensionError,
                              compare_csv_row, lifespan_extension,
                              load_percell_csv, load_summary,
                              top_n_distribution, write_compare_csv,
                              write_percell_csv, write_summary_json,
                              write_table, write_topn_csv)
-from wearsim.policy import PolicyError, parse_policy
-from wearsim.trace import TraceParseError, format_trace, parse_trace, validate_trace
+from wearsim.policy import PolicyError, parse_fraction, parse_policy
+from wearsim.trace import (TraceParseError, format_trace, parse_trace, parse_uint,
+                           validate_trace)
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
 
 EXIT_OK = 0
@@ -38,11 +42,11 @@ class _Exit(Exception):
     """Ends a command; its args are the nonzero exit code, then the error lines."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _topn(text: str) -> int:
+    n = parse_uint(text)  # no memory has more cells to rank than MAX_MEM_CELLS
+    if not 1 <= n <= MAX_MEM_CELLS:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_MEM_CELLS}], got {n}")
+    return n
 
 
 def _write_out(path: str | None, emit) -> None:
@@ -118,7 +122,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    policy_specs = [p.strip() for p in args.policies.split(",") if p.strip()]
+    policy_specs = args.policies.split(",")
     if len(policy_specs) < 2:
         raise _Exit(EXIT_USAGE,
                     "--policies needs at least two comma-separated policies")
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_replay_flags(p):
         p.add_argument("--trace", required=True, help="trace file to replay")
-        p.add_argument("--mem-size", type=int, default=None,
+        p.add_argument("--mem-size", type=parse_uint, default=None,
                        help="total memory in cells (even, >= 4); defaults to "
                             "the trace's #mem header")
         p.add_argument("--count", choices=["accesses", "writes"],
@@ -234,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "random:<seed> | single")
     run.add_argument("--out", help="summary-json path (default: stdout)")
     run.add_argument("--percell", help="write percell-csv here")
-    run.add_argument("--topn", type=_positive_int,
+    run.add_argument("--topn", type=_topn,
                      help="also compute the N busiest cells")
     run.add_argument("--topn-out", help="topn-csv path (default: stdout)")
     run.set_defaults(func=_cmd_run)
@@ -243,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="replay one trace under several policies")
     add_replay_flags(compare)
     compare.add_argument("--policies", required=True,
-                         help="comma-separated policy list; first is the "
+                         help="comma-separated policy list, each item read "
+                              "as --policy reads its value; first is the "
                               "baseline for extension ratios")
     compare.add_argument("--out", help="compare-csv path (default: stdout)")
     compare.add_argument("--extensions-out",
@@ -252,17 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic trace")
     gen.add_argument("--pattern", required=True, choices=PATTERNS)
-    gen.add_argument("--objects", type=int, default=100,
+    gen.add_argument("--objects", type=parse_uint, default=100,
                      help="object population (default 100)")
-    gen.add_argument("--ops", type=int, default=10000,
+    gen.add_argument("--ops", type=parse_uint, default=10000,
                      help="number of alloc/free/read/write events (default 10000)")
-    gen.add_argument("--mean-size", type=int, default=8,
+    gen.add_argument("--mean-size", type=parse_uint, default=8,
                      help="mean object size in cells (default 8)")
-    gen.add_argument("--hot-fraction", type=float, default=0.1,
+    gen.add_argument("--hot-fraction", type=parse_fraction, default=0.1,
                      help="hot share of the population, hotspot only (default 0.1)")
-    gen.add_argument("--gc-every", type=int, default=100,
+    gen.add_argument("--gc-every", type=parse_uint, default=100,
                      help="insert a G event every N ops (default 100)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=parse_uint, default=0)
     gen.add_argument("--out", required=True, help="trace file to write")
     gen.set_defaults(func=_cmd_gen)
 
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="post-process run outputs: top-N tables and extensions")
     report.add_argument("inputs", nargs="+",
                         help=".json summaries and/or .csv percell files")
-    report.add_argument("--topn", type=_positive_int, default=1000,
+    report.add_argument("--topn", type=_topn, default=1000,
                         help="ranks per percell input (default 1000)")
     report.add_argument("--count", choices=["accesses", "writes"],
                         default="accesses")

@@ -38,6 +38,8 @@ from itertools import chain, compress, islice, repeat
 from operator import add, mul
 from typing import Iterable, Sequence, TextIO
 
+from wearsim.trace import parse_uint
+
 
 class CountingMode(str, Enum):
     ACCESSES = "accesses"  # reads + writes
@@ -210,15 +212,11 @@ def write_percell_csv(report: WearReport, sink) -> None:
         start = end
 
 
-def _is_uint(token: str) -> bool:
-    return token.isascii() and token.isdigit()
-
-
 def load_percell_csv(source: TextIO) -> tuple[list[int], list[int]]:
     """Read back a percell-csv text stream; returns (reads, writes).
 
-    Each field is an unsigned decimal of ASCII digits, as trace fields
-    are, and the addresses run 0, 1, 2, ... in order.
+    Each field is read by parse_uint, as trace fields are, and the
+    addresses run 0, 1, 2, ... in order.
     """
     rows = csv.reader(source)
     if next(rows, None) != ["address", "reads", "writes"]:
@@ -226,10 +224,14 @@ def load_percell_csv(source: TextIO) -> tuple[list[int], list[int]]:
     reads: list[int] = []
     writes: list[int] = []
     for i, row in enumerate(rows):
-        if len(row) != 3 or not all(map(_is_uint, row)) or int(row[0]) != i:
-            raise ValueError(f"percell-csv row {i + 1} malformed")
-        reads.append(int(row[1]))
-        writes.append(int(row[2]))
+        try:
+            address, read, write = map(parse_uint, row)
+            if address != i:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"percell-csv row {i + 1} malformed") from None
+        reads.append(read)
+        writes.append(write)
     return reads, writes
 
 

@@ -16,10 +16,9 @@ Policy spec strings, as accepted on the command line:
     random:<seed>   seeded uniform start per use (Mersenne Twister), seed >= 0
     single          one space, compacted onto itself, always to address 0
 
-A kind in POLICY_ARGS takes one argument after a colon: an unsigned
-decimal, as trace and percell fields are, so ASCII, led by a digit or
-'.', with no whitespace, '_' or sign (a seed is digits; a fraction reads
-0.25, .5 or 2.5e-1).  parse_policy reads back what spec_string writes.
+A kind in POLICY_ARGS takes one argument after a colon, read as an
+unsigned decimal: a seed by trace.parse_uint, a fraction by
+parse_fraction.  parse_policy reads back what spec_string writes.
 """
 
 from __future__ import annotations
@@ -28,18 +27,31 @@ import math
 import random
 from dataclasses import dataclass
 
+from wearsim.trace import parse_uint
+
 #: Fraction of the ring advanced between consecutive golden starts:
 #: 1 - 1/phi = (3 - sqrt(5)) / 2 with phi = (1 + sqrt(5)) / 2, about 137.5
 #: degrees of a full turn.
 GOLDEN_FRACTION = (3 - math.sqrt(5)) / 2
 
 POLICY_KINDS = ("golden", "quarter", "fraction", "none", "random", "single")
-#: The kinds that take an argument, and the type it is read as.
-POLICY_ARGS = {"fraction": float, "random": int}
 
 
 class PolicyError(ValueError):
     """Bad policy specification or misuse of a policy."""
+
+
+def parse_fraction(text: str) -> float:
+    """Read an unsigned decimal such as 0.25, .5 or 2.5e-1; ValueError otherwise."""
+    # float() alone would also take a sign, 'inf', 'nan', '_', spaces and other digits
+    if not (text.isascii() and text[:1] and text[0] in "0123456789."
+            and "_" not in text and not any(map(str.isspace, text))):
+        raise ValueError(f"not an unsigned decimal: '{text}'")
+    return float(text)
+
+
+#: The kinds that take an argument, and the reader of its text.
+POLICY_ARGS = {"fraction": parse_fraction, "random": parse_uint}
 
 
 def golden_shift(ring_size: int) -> int:
@@ -101,20 +113,15 @@ def parse_policy(spec: str) -> Policy:
     kind, sep, text = spec.partition(":")
     if kind not in POLICY_KINDS:
         raise PolicyError(f"unknown policy '{spec}'")
-    arg_type = POLICY_ARGS.get(kind)
-    if arg_type is None:
+    read_arg = POLICY_ARGS.get(kind)
+    if read_arg is None:
         if sep:
             raise PolicyError(f"policy '{kind}' takes no argument")
         return Policy(kind)
     if not sep:
         raise PolicyError(f"policy '{kind}' needs an argument after a colon")
     try:
-        # the unsigned-decimal rule; int() and float() alone would also
-        # take whitespace, '_', a sign and non-ASCII digits
-        if not (text.isascii() and (text[:1].isdigit() or text[:1] == ".")
-                and "_" not in text and not any(map(str.isspace, text))):
-            raise ValueError
-        value = arg_type(text)
+        value = read_arg(text)
     except ValueError:
         raise PolicyError(f"bad {kind} argument '{text}'") from None
     return Policy(kind, value)

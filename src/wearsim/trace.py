@@ -17,9 +17,10 @@ Wire format (UTF-8 text, LF line endings)::
     W <id> <off> <len>     write <len> cells starting <off> into the object
     G                      garbage-collection trigger
 
-Fields are decimal unsigned integers separated by single spaces.
-parse_trace reads the format from a ``str`` and format_trace renders it
-to one; callers do their own file I/O and decoding.
+Fields are unsigned ASCII decimals separated by single spaces, read by
+parse_uint as is every integer wearsim reads.  parse_trace reads the
+format from a ``str`` and format_trace renders it to one; callers do
+their own file I/O and decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
@@ -74,33 +75,32 @@ _LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
 ACCESS_NOUNS = {"R": "read", "W": "write"}
 
 
-def _parse_uint(token: str, line_no: int) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise TraceParseError(f"non-integer field '{token}'", line_no)
-    return int(token)
+def parse_uint(text: str) -> int:
+    """Read ASCII digits; unlike int(), refuse a sign, '_', spaces and other digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"non-integer field '{text}'")
+    return int(text)
 
 
-def _parse_version(line: str, line_no: int) -> None:
+def _parse_version(line: str) -> None:
     if not line.startswith(MAGIC_PREFIX):
-        raise TraceParseError("malformed version line", line_no)
-    version = _parse_uint(line[len(MAGIC_PREFIX):], line_no)
+        raise ValueError("malformed version line")
+    version = parse_uint(line[len(MAGIC_PREFIX):])
     if version != FORMAT_VERSION:
-        raise TraceParseError(f"unsupported trace format version {version}", line_no)
+        raise ValueError(f"unsupported trace format version {version}")
 
 
-def _parse_event(line: str, line_no: int) -> TraceEvent:
+def _parse_event(line: str) -> TraceEvent:
     fields = line.split(" ")
     opcode = fields[0]
     arity = _OPCODE_ARITY.get(opcode)
     if arity is None:
-        raise TraceParseError(f"unknown opcode '{opcode}'", line_no)
+        raise ValueError(f"unknown opcode '{opcode}'")
     if len(fields) != arity:
-        raise TraceParseError(
-            f"expected {arity} fields for '{opcode}', got {len(fields)}", line_no)
-    event = (opcode, *[_parse_uint(token, line_no) for token in fields[1:]])
+        raise ValueError(f"expected {arity} fields for '{opcode}', got {len(fields)}")
+    event = (opcode, *map(parse_uint, fields[1:]))
     if arity > 2 and event[-1] < 1:
-        raise TraceParseError(
-            f"{'size' if opcode == 'A' else 'length'} must be >= 1", line_no)
+        raise ValueError(f"{'size' if opcode == 'A' else 'length'} must be >= 1")
     return event
 
 
@@ -117,17 +117,19 @@ def parse_trace(text: str) -> Trace:
         line = raw[:-1] if raw.endswith("\r") else raw  # tolerate CRLF input
         if not line.strip():
             continue
-        if line.startswith("#"):
-            if line_no == 1 and line.startswith("#!"):
-                _parse_version(line, line_no)
-                continue
-            fields = line.split(" ")
-            if fields[0] == "#mem":
-                if len(fields) != 2:
-                    raise TraceParseError("malformed #mem header", line_no)
-                suggested = _parse_uint(fields[1], line_no)
-            continue
-        events.append(_parse_event(line, line_no))
+        try:
+            if not line.startswith("#"):
+                events.append(_parse_event(line))
+            elif line_no == 1 and line.startswith("#!"):
+                _parse_version(line)
+            else:
+                fields = line.split(" ")
+                if fields[0] == "#mem":
+                    if len(fields) != 2:
+                        raise ValueError("malformed #mem header")
+                    suggested = parse_uint(fields[1])
+        except ValueError as err:
+            raise TraceParseError(str(err), line_no) from None
     return Trace(events, TraceHeader(suggested))
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from wearsim.cli import main
+from wearsim.cli import build_parser, main
+from wearsim.engine import MAX_MEM_CELLS
 from wearsim.metrics import load_summary
 from wearsim.trace import parse_trace
 
@@ -25,6 +26,14 @@ def summary_text(**fields):
               "max_cell_address": "0", "touched_cell_count": "6", **fields}
     body = ", ".join(f'"{key}": {value}' for key, value in values.items())
     return '{"policy": "none", "summary": {' + body + "}}"
+
+
+def exit_code(argv):
+    """What main returns, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
 
 
 def run_summary(tmp_path, trace_path, policy, mem=20, extra=()):
@@ -133,6 +142,17 @@ class TestRun:
                   "--mem-size", "20", "--policy", "golden", "--topn", "0"])
         assert err.value.code == 2
 
+    def test_topn_past_the_largest_memory_is_usage_error(self, tmp_path, capsys):
+        # the trace does not exist: reading it would exit 3, not 2
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--trace", str(tmp_path / "nope.trace"), "--mem-size",
+                  "20", "--policy", "golden", "--topn", str(MAX_MEM_CELLS + 1)])
+        assert err.value.code == 2
+        assert "--topn: must be in [1, 67108864]" in capsys.readouterr().err
+        args = build_parser().parse_args(["run", "--trace", "t", "--policy", "golden",
+                                          "--topn", str(MAX_MEM_CELLS)])
+        assert args.topn == MAX_MEM_CELLS
+
     @pytest.mark.parametrize("flag", ["--out", "--percell", "--topn-out"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
@@ -232,6 +252,18 @@ class TestCompare:
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         assert main(["compare", "--trace", trace, "--mem-size", "20",
                      "--policies", "golden"]) == 2
+
+    # each item is read as --policy reads its value: no blank item, no padding
+    @pytest.mark.parametrize("policies, item", [
+        ("golden,,none", "''"), ("golden, none", "' none'"),
+        ("golden,none,", "''"), (",golden,none", "''"),
+    ])
+    def test_items_are_not_trimmed(self, tmp_path, capsys, policies, item):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        assert main(["compare", "--trace", trace, "--mem-size", "20",
+                     "--policies", policies, "--out", str(tmp_path / "c.csv")]) == 2
+        assert f"unknown policy {item}" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--extensions-out"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
@@ -408,6 +440,27 @@ class TestReport:
             main(["report", str(tmp_path / "nope.csv"), "--topn", "0"])
         assert err.value.code == 2
 
+    def test_topn_past_the_largest_memory_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["report", str(tmp_path / "nope.csv"), "--topn",
+                  str(MAX_MEM_CELLS + 1)])
+        assert err.value.code == 2
+        assert "--topn: must be in [1, 67108864]" in capsys.readouterr().err
+
+    def test_zero_candidate_pair_is_skipped(self, tmp_path, capsys):
+        # a candidate with no accesses leaves its pair out; the reverse
+        # pair, with that summary as the baseline, is still written
+        busy = write_file(tmp_path / "busy.json", summary_text())
+        idle = write_file(tmp_path / "idle.json", summary_text(
+            avg_all_cells="0.0", avg_touched_cells="0.0", max_cell="0",
+            touched_cell_count="0"))
+        table = tmp_path / "ext.csv"
+        assert main(["report", busy, idle, "--out", str(table)]) == 0
+        assert capsys.readouterr().err == (
+            "wearsim: skipping busy vs idle: zero candidate statistic\n")
+        assert table.read_text() == (
+            "baseline,candidate,avg_extension,max_extension\nidle,busy,0.0,0.0\n")
+
     def test_no_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["report"])
@@ -451,6 +504,87 @@ class TestReport:
         assert not (tmp_path / "a_top1000.csv").exists()
 
 
+# Text that int() or float() might take, but that is not an unsigned ASCII
+# decimal.  Every surface that reads a number refuses each of them.
+REFUSED_UINTS = ["2_0", "+2", " 3", "\u0663", "\uff11", "\u00b2", "-5", ""]
+REFUSED_FRACTIONS = ["\u0660.5", "0.1_0", " 0.25", "-0.0"]
+
+
+def gen_argv(tmp_path, flag, value):
+    return ["gen", "--pattern", "hotspot", "--ops", "50", flag, value,
+            "--out", str(tmp_path / "g.trace")]
+
+
+def run_argv(tmp_path, trace_text, *flags):
+    trace = write_file(tmp_path / "t.trace", trace_text)
+    return ["run", "--trace", trace, "--out", str(tmp_path / "s.json"),
+            "--topn-out", str(tmp_path / "top.csv"), *flags]
+
+
+def report_argv(tmp_path, percell_text, *flags):
+    percell = write_file(tmp_path / "p.csv", percell_text)
+    return ["report", percell, "--out", str(tmp_path / "ext.csv"), *flags]
+
+
+# name -> (argv for a value, exit code when refused, text in the refusal)
+UINT_SURFACES = {
+    "trace-field": (lambda tmp, v: run_argv(tmp, f"A {v} 3\n", "--mem-size", "20",
+                                            "--policy", "golden"), 3, "at line 1"),
+    "mem-header": (lambda tmp, v: run_argv(tmp, f"#mem {v}\n" + TRIVIAL,
+                                           "--policy", "golden"), 3, "at line 1"),
+    "percell-field": (lambda tmp, v: report_argv(
+        tmp, f"address,reads,writes\n0,{v},0\n"), 3, "row 1 malformed"),
+    "random-seed": (lambda tmp, v: run_argv(tmp, TRIVIAL, "--mem-size", "20",
+                                            "--policy", f"random:{v}"),
+                    2, "bad random argument"),
+    "--mem-size": (lambda tmp, v: run_argv(tmp, TRIVIAL, "--mem-size", v,
+                                           "--policy", "golden"),
+                   2, "argument --mem-size:"),
+    "run --topn": (lambda tmp, v: run_argv(tmp, TRIVIAL, "--mem-size", "20",
+                                           "--policy", "golden", "--topn", v),
+                   2, "argument --topn:"),
+    "report --topn": (lambda tmp, v: report_argv(
+        tmp, "address,reads,writes\n0,1,0\n", "--topn", v), 2, "argument --topn:"),
+    **{f"gen {flag}": (lambda tmp, v, flag=flag: gen_argv(tmp, flag, v),
+                       2, f"argument {flag}:")
+       for flag in ("--objects", "--ops", "--mean-size", "--gc-every", "--seed")},
+}
+
+FRACTION_SURFACES = {
+    "fraction-spec": (lambda tmp, v: run_argv(tmp, TRIVIAL, "--mem-size", "20",
+                                              "--policy", f"fraction:{v}"),
+                      2, "bad fraction argument"),
+    "gen --hot-fraction": (lambda tmp, v: gen_argv(tmp, "--hot-fraction", v),
+                           2, "argument --hot-fraction:"),
+}
+
+
+class TestNumbersAtEverySurface:
+    @pytest.mark.parametrize("surface", UINT_SURFACES)
+    def test_uint_surface_takes_digits(self, tmp_path, surface):
+        argv, _, _ = UINT_SURFACES[surface]
+        assert exit_code(argv(tmp_path, "20")) == 0
+
+    @pytest.mark.parametrize("token", REFUSED_UINTS)
+    @pytest.mark.parametrize("surface", UINT_SURFACES)
+    def test_uint_surface_refuses(self, tmp_path, capsys, surface, token):
+        argv, code, reason = UINT_SURFACES[surface]
+        assert exit_code(argv(tmp_path, token)) == code
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("surface", FRACTION_SURFACES)
+    def test_fraction_surface_takes_a_decimal(self, tmp_path, surface):
+        argv, _, _ = FRACTION_SURFACES[surface]
+        assert exit_code(argv(tmp_path, "0.25")) == 0
+
+    @pytest.mark.parametrize("token", REFUSED_FRACTIONS)
+    @pytest.mark.parametrize("surface", FRACTION_SURFACES)
+    def test_fraction_surface_refuses(self, tmp_path, capsys, surface, token):
+        argv, code, reason = FRACTION_SURFACES[surface]
+        assert exit_code(argv(tmp_path, token)) == code
+        assert reason in capsys.readouterr().err
+
+
 class TestPipelineDeterminism:
     def test_gen_run_report_byte_identical(self, tmp_path):
         artifacts = []
@@ -477,6 +611,17 @@ class TestPipelineDeterminism:
 
 class TestProcessExit:
     SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def test_package_import_loads_every_module(self):
+        # a fresh interpreter, since this one has imported the modules already
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        names = ("engine", "memory", "metrics", "policy", "trace", "workload")
+        done = subprocess.run(
+            [sys.executable, "-c", "import inspect, wearsim; print(*(inspect."
+             f"ismodule(getattr(wearsim, name, None)) for name in {names!r}))"],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True"] * len(names)
 
     @pytest.mark.parametrize("code, trace_text, policy", [
         (0, TRIVIAL, "golden"),

@@ -53,6 +53,10 @@ class TestRecordRange:
         assert sum(cell_counts(ring, "W")) == 0
         assert sum(cell_counts(ring, "R")) == 4
 
+    def test_empty_ring_rejected(self):
+        with pytest.raises(ValueError, match="size_cells must be >= 1, got 0"):
+            CellCounters(0)
+
     def test_full_ring_range(self):
         ring = CellCounters(6)
         ring.record_range(3, 6, "R")

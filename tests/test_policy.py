@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wearsim.policy import (GOLDEN_FRACTION, Policy, PolicyError, PolicyState,
-                            golden_shift, parse_policy, start_sequence)
+                            golden_shift, parse_fraction, parse_policy,
+                            start_sequence)
 
 
 def circular_gaps(points, ring_size):
@@ -83,6 +84,23 @@ class TestParsePolicy:
             assert parse_policy(spec).spec_string() == spec
 
 
+class TestParseFraction:
+    @pytest.mark.parametrize("text, value", [
+        ("0.25", 0.25), (".5", 0.5), ("2.5e-1", 0.25), ("0", 0.0), ("1.", 1.0),
+        ("7", 7.0),  # the range is the caller's to check
+    ])
+    def test_reads(self, text, value):
+        assert parse_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "\u0660.5", "0.1_0", " 0.25", "0.25 ", "-0.0", "+0.5", "", ".", "inf",
+        "nan", "1e", "0.5e+",
+    ])
+    def test_refuses(self, text):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+
+
 class TestPolicyValidation:
     def test_unknown_kind(self):
         with pytest.raises(PolicyError):
@@ -134,6 +152,10 @@ class TestStartProgression:
 
     def test_single_always_head(self):
         assert start_sequence(Policy("single"), 512, 6) == [0] * 6
+
+    def test_random_has_no_constant_shift(self):
+        with pytest.raises(PolicyError, match="policy 'random' has no constant shift"):
+            Policy("random", 1).shift_cells(8)
 
     def test_count_must_be_positive(self):
         with pytest.raises(PolicyError):

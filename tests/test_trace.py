@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wearsim.trace import (Trace, TraceHeader, TraceParseError, format_trace,
-                           parse_trace, validate_trace)
+                           parse_trace, parse_uint, validate_trace)
 
 uints = st.integers(min_value=0, max_value=10**9)
 sizes = st.integers(min_value=1, max_value=10**6)
@@ -80,6 +80,17 @@ class TestParse:
         with pytest.raises(TraceParseError, match="unsupported trace format version 9"):
             parse_trace("#! wearsim-trace v9\n")
 
+    def test_malformed_version_line(self):
+        with pytest.raises(TraceParseError, match="^malformed version line at line 1$"):
+            parse_trace("#! wearsim-trace2\n")
+
+    def test_field_past_the_int_digit_limit(self):
+        # int() refuses 5,000 digits with a ValueError of its own, which
+        # still reaches the caller as a TraceParseError naming the line
+        with pytest.raises(TraceParseError) as err:
+            parse_trace("G\nA 1 " + "1" * 5000 + "\n")
+        assert err.value.line_no == 2
+
     def test_malformed_mem_header(self):
         with pytest.raises(TraceParseError, match="#mem"):
             parse_trace("#mem\n")
@@ -91,6 +102,18 @@ class TestParse:
 
     def test_crlf_tolerated(self):
         assert parse_trace("A 1 3\r\nG\r\n").events == [("A", 1, 3), ("G",)]
+
+
+class TestParseUint:
+    @given(uints)
+    def test_reads_what_str_writes(self, value):
+        assert parse_uint(str(value)) == value
+
+    @pytest.mark.parametrize("text", ["2_0", "+2", " 3", "3 ", "\u0663", "\uff11",
+                                      "\u00b2", "-5", "", "0x1", "1.0"])
+    def test_refuses_what_int_might_take(self, text):
+        with pytest.raises(ValueError, match="non-integer field"):
+            parse_uint(text)
 
 
 class TestValidate:

@@ -87,6 +87,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="mean_object_size"):
             generate(spec_for("churn", mean_object_size=0))
 
+    def test_zero_objects(self):
+        with pytest.raises(ValueError, match="object_count must be >= 1, got 0"):
+            generate(spec_for("churn", object_count=0))
+
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
             generate(spec_for("waves"))
