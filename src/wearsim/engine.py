@@ -13,6 +13,10 @@ base cell in the work space: a freed object leaves the table at once and
 simply stops being copied, and its cells are reclaimed at the next
 collection, not reused before it.
 
+Free space is `start`, the base of the block compacted at the last
+collection, and `used`, its cells plus all allocated since.  A failure is
+a SimulationError naming it; `replay` prefixes the failing event's index.
+
 Wear accounting: application reads and writes touch exactly the cells
 they name.  When GC traffic is counted, every relocated cell costs one
 read at its source and one write at its destination; an object that
@@ -34,26 +38,6 @@ from wearsim.trace import ACCESS_NOUNS, Trace, TraceEvent
 
 class SimulationError(Exception):
     """A trace event that cannot be applied to the engine state."""
-
-
-class ObjectTooLargeError(SimulationError):
-    """Requested object exceeds what one space can hold."""
-
-
-class OutOfMemoryError(SimulationError):
-    """Allocation still does not fit after collection."""
-
-
-class InvalidFreeError(SimulationError):
-    """Free of an object that is not live."""
-
-
-class UseAfterFreeError(SimulationError):
-    """Read or write of an object that is not live."""
-
-
-class OutOfBoundsError(SimulationError):
-    """Access past the end of an object."""
 
 
 @dataclass
@@ -94,13 +78,11 @@ class Engine:
         space_count = 2 if config.policy.is_dual_ring else 1
         self.capacity = config.mem_size_cells // space_count
         self.spaces = [CellCounters(self.capacity) for _ in range(space_count)]
-        self.policy_state = PolicyState(config.policy)
+        self.policy_state = PolicyState(config.policy, self.capacity)
         self.work_ring = 0
         self.objects: dict[int, ObjectRecord] = {}
-        self.live_start = 0   # base of the compacted block from the last GC
-        self.live_len = 0     # its length, in cells
-        self.alloc_cursor = 0
-        self.free_cells = self.capacity
+        self.start = 0  # base of the block compacted at the last collection
+        self.used = 0   # that block's cells plus every cell allocated since
         self.gc_count = 0
         self.event_count = 0
 
@@ -108,31 +90,32 @@ class Engine:
         if object_id in self.objects:
             raise SimulationError(f"alloc of live object {object_id}")
         if size_cells > self.capacity:
-            raise ObjectTooLargeError(
+            raise SimulationError(
                 f"object {object_id} of {size_cells} cells exceeds capacity "
                 f"{self.capacity}")
-        if size_cells > self.free_cells:
+        if self.used + size_cells > self.capacity:
             self.handle_gc()
-            if size_cells > self.free_cells:
-                raise OutOfMemoryError(
+            if self.used + size_cells > self.capacity:
+                # right after a collection, every used cell is live
+                raise SimulationError(
                     f"cannot allocate {size_cells} cells for object {object_id}: "
-                    f"{self.live_len} cells live, {self.free_cells} free")
-        self.objects[object_id] = ObjectRecord(size_cells, self.alloc_cursor)
-        self.alloc_cursor = (self.alloc_cursor + size_cells) % self.capacity
-        self.free_cells -= size_cells
+                    f"{self.used} cells live, {self.capacity - self.used} free")
+        self.objects[object_id] = ObjectRecord(
+            size_cells, (self.start + self.used) % self.capacity)
+        self.used += size_cells
 
     def handle_free(self, object_id: int) -> None:
         if self.objects.pop(object_id, None) is None:
-            raise InvalidFreeError(f"free of dead object {object_id}")
+            raise SimulationError(f"free of dead object {object_id}")
 
     def handle_access(self, object_id: int, offset: int, length: int,
                       kind: str) -> None:
         """Record a read ("R") or write ("W") of part of a live object."""
         record = self.objects.get(object_id)
         if record is None:
-            raise UseAfterFreeError(f"{ACCESS_NOUNS[kind]} of dead object {object_id}")
+            raise SimulationError(f"{ACCESS_NOUNS[kind]} of dead object {object_id}")
         if offset + length > record.size_cells:
-            raise OutOfBoundsError(
+            raise SimulationError(
                 f"{ACCESS_NOUNS[kind]} of {length} cells at offset {offset} exceeds "
                 f"size {record.size_cells} of object {object_id}")
         self.spaces[self.work_ring].record_range(
@@ -143,8 +126,8 @@ class Engine:
         count_traffic = self.config.count_gc_traffic
         source = self.work_ring
         target = (source + 1) % len(self.spaces)
-        start = self.policy_state.take(target, self.capacity)
-        dest = start
+        self.start = self.policy_state.take(target)
+        dest = self.start
         for record in live:
             if (source, record.base_cell) != (target, dest):
                 if count_traffic:
@@ -155,10 +138,7 @@ class Engine:
             dest = (dest + record.size_cells) % self.capacity
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
-        self.live_start = start
-        self.live_len = sum(r.size_cells for r in live)
-        self.alloc_cursor = (start + self.live_len) % self.capacity
-        self.free_cells = self.capacity - self.live_len
+        self.used = sum(r.size_cells for r in live)
         self.gc_count += 1
 
     def process(self, event: TraceEvent) -> None:
@@ -205,17 +185,14 @@ def replay(trace: Trace, config: EngineConfig,
     """Replay a full trace and return its wear report.
 
     Deterministic: the same trace and config always produce an
-    identical report.  Simulation errors are re-raised with the index
-    of the event that caused them.
-
-    The trace must pass `validate_trace`, the one gate on hand-built
-    traces; events are not checked one by one, so a malformed tuple may
-    raise any exception or be applied as given.
+    identical report.  The trace must pass `validate_trace`, the one
+    gate on hand-built traces, as `Engine.process` requires.
     """
     engine = Engine(config)
-    for index, event in enumerate(trace.events):
-        try:
+    try:
+        for event in trace.events:
             engine.process(event)
-        except SimulationError as err:
-            raise type(err)(f"event {index}: {err}") from err
+    except SimulationError as err:
+        # event_count counts the events applied, so it indexes the failing one
+        raise SimulationError(f"event {engine.event_count}: {err}") from err
     return engine.build_report(mode)

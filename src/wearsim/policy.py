@@ -128,28 +128,29 @@ def parse_policy(spec: str) -> Policy:
 
 
 class PolicyState:
-    """Per-space progression of compaction start locations for one run.
+    """Per-ring progression of compaction start locations for one run.
 
-    The dual-ring kinds keep one progression per ring.  The single kind
-    has one space whose collection target is itself, and its start stays
-    at 0.  The random kind draws both rings' starts from one seeded
-    stream, in the order the rings are asked, so a whole run stays
-    reproducible from the seed.
+    The random kind draws both rings' starts from one seeded stream, in
+    the order the rings are asked, so a whole run stays reproducible
+    from the seed.
     """
 
-    def __init__(self, policy: Policy):
-        self.policy = policy
+    def __init__(self, policy: Policy, ring_size: int):
+        self.ring_size = ring_size
         self.next_start = [0, 0]  # first use of either ring starts at its head
-        self._rng = random.Random(policy.arg) if policy.kind == "random" else None
+        if policy.kind == "random":
+            self._rng = random.Random(policy.arg)
+        else:
+            self._rng = None
+            self.shift = policy.shift_cells(ring_size)
 
-    def take(self, ring: int, ring_size: int) -> int:
+    def take(self, ring: int) -> int:
         """Start location for this compaction; advances the ring's progression."""
         used = self.next_start[ring]
-        if self.policy.kind == "random":
-            self.next_start[ring] = self._rng.randrange(ring_size)
+        if self._rng is not None:
+            self.next_start[ring] = self._rng.randrange(self.ring_size)
         else:
-            shift = self.policy.shift_cells(ring_size)
-            self.next_start[ring] = (used + shift) % ring_size
+            self.next_start[ring] = (used + self.shift) % self.ring_size
         return used
 
 
@@ -157,5 +158,5 @@ def start_sequence(policy: Policy, ring_size: int, count: int) -> list[int]:
     """First `count` start locations a single ring receives under `policy`."""
     if count < 1:
         raise PolicyError(f"count must be >= 1, got {count}")
-    state = PolicyState(policy)
-    return [state.take(0, ring_size) for _ in range(count)]
+    state = PolicyState(policy, ring_size)
+    return [state.take(0) for _ in range(count)]

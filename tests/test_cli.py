@@ -166,10 +166,13 @@ class TestRun:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("wearsim: error: cannot write")
 
-    def test_out_of_memory_exits_4(self, tmp_path):
+    def test_out_of_memory_exits_4(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", "A 1 4\nA 2 4\n")
         assert main(["run", "--trace", trace, "--mem-size", "8",
                      "--policy", "golden"]) == 4
+        assert capsys.readouterr().err == (
+            "wearsim: error: policy golden: event 1: cannot allocate 4 cells for "
+            "object 2: 4 cells live, 0 free\n")
 
     def test_percell_and_topn_outputs(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
@@ -317,6 +320,16 @@ class TestCompare:
                      "--extensions-out", str(ext)]) == 4
         assert "candidate has zero accesses" in capsys.readouterr().err
         assert not out.exists() and not ext.exists()
+
+    def test_object_too_large_writes_no_output(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "t.trace", "A 1 11\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--trace", trace, "--mem-size", "20",
+                     "--policies", "none,single", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "wearsim: error: policy none: event 0: object 1 of 11 cells exceeds "
+            "capacity 10\n")
+        assert not out.exists()
 
     def test_rows_match_individual_runs(self, tmp_path, hotspot_trace):
         out = tmp_path / "cmp.csv"

@@ -1,11 +1,11 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from invariants import assert_disjoint_live, assert_post_gc_invariants
 from test_memory import cell_counts
-from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig,
-                            InvalidFreeError, ObjectTooLargeError, OutOfBoundsError,
-                            OutOfMemoryError, SimulationError,
-                            UseAfterFreeError, replay)
+from test_oracle import mem_divisors, specs
+from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig, SimulationError,
+                            replay)
 from wearsim.metrics import CountingMode
 from wearsim.policy import Policy, parse_policy
 from wearsim.trace import Trace
@@ -49,17 +49,19 @@ class TestAlloc:
         engine = engine_for(20)
         engine.handle_alloc(1, 3)
         assert engine.objects[1].base_cell == 0
-        assert engine.alloc_cursor == 3
+        assert (engine.start, engine.used) == (0, 3)
         assert cell_total(engine) == 0  # allocation touches no cells
 
     def test_object_larger_than_ring(self):
-        with pytest.raises(ObjectTooLargeError):
+        with pytest.raises(SimulationError,
+                           match="object 1 of 11 cells exceeds capacity 10"):
             engine_for(20).handle_alloc(1, 11)
 
     def test_out_of_memory_after_gc(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 8)
-        with pytest.raises(OutOfMemoryError, match="8 cells live"):
+        with pytest.raises(SimulationError, match="cannot allocate 5 cells for "
+                           "object 2: 8 cells live, 2 free"):
             engine.handle_alloc(2, 5)
         assert engine.gc_count == 1  # one collection was attempted first
 
@@ -77,12 +79,12 @@ class TestAlloc:
         engine.handle_free(1)
         engine.handle_alloc(2, 10)  # the whole ring, free only after the GC
         assert engine.gc_count == 1
-        assert engine.free_cells == 0
+        assert engine.used == engine.capacity
 
     def test_alloc_of_live_object_rejected(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 2)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="alloc of live object 1"):
             engine.handle_alloc(1, 2)
 
     def test_id_reuse_after_free(self):
@@ -95,7 +97,7 @@ class TestAlloc:
         assert cell_counts(engine.spaces[0], "R") == [0, 0, 1, 1, 1, 0, 0, 0, 0, 0]
         assert cell_counts(engine.spaces[1], "W") == [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
         assert cell_total(engine) == 6
-        assert engine.live_len == 3
+        assert engine.used == 3
 
 
 class TestFree:
@@ -107,14 +109,14 @@ class TestFree:
         assert cell_total(engine) == 0
 
     def test_free_of_unknown_object(self):
-        with pytest.raises(InvalidFreeError):
+        with pytest.raises(SimulationError, match="free of dead object 99"):
             engine_for(20).handle_free(99)
 
     def test_double_free(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 3)
         engine.handle_free(1)
-        with pytest.raises(InvalidFreeError):
+        with pytest.raises(SimulationError, match="free of dead object 1"):
             engine.handle_free(1)
 
     def test_dead_objects_are_not_copied(self):
@@ -156,13 +158,14 @@ class TestAccess:
         engine = engine_for(20)
         engine.handle_alloc(1, 2)
         engine.handle_free(1)
-        with pytest.raises(UseAfterFreeError):
+        with pytest.raises(SimulationError, match="write of dead object 1"):
             engine.process(("W", 1, 0, 1))
 
     def test_out_of_bounds(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 3)
-        with pytest.raises(OutOfBoundsError):
+        with pytest.raises(SimulationError, match="read of 2 cells at offset 2 "
+                           "exceeds size 3 of object 1"):
             engine.process(("R", 1, 2, 2))
 
 
@@ -197,7 +200,7 @@ class TestGc:
         engine = engine_for(20)
         engine.handle_gc()
         assert engine.gc_count == 1
-        assert engine.live_len == 0
+        assert engine.used == 0
         assert cell_total(engine) == 0
         assert engine.work_ring == 1
 
@@ -249,7 +252,8 @@ class TestSingleSpace:
         engine = engine_for(8, "single")
         engine.handle_alloc(1, 6)  # larger than half; fine without rings
         assert engine.objects[1].base_cell == 0
-        with pytest.raises(ObjectTooLargeError):
+        with pytest.raises(SimulationError,
+                           match="object 2 of 9 cells exceeds capacity 8"):
             engine.handle_alloc(2, 9)
 
 
@@ -324,20 +328,28 @@ class TestReplay:
 
     def test_errors_name_the_event_index(self):
         trace = Trace([("A", 1, 2), ("F", 1), ("W", 1, 0, 1)])
-        with pytest.raises(UseAfterFreeError, match="event 2:"):
+        with pytest.raises(SimulationError, match="event 2: write of dead object 1"):
             replay(trace, EngineConfig(20, Policy("golden")))
 
-    @pytest.mark.parametrize("events, message", [
-        ([("A", 1, 3), ("A", 1, 2)], "event 1: alloc of live object 1"),
-        ([("F", 2)], "event 0: free of dead object 2"),
-        ([("W", 5, 0, 1)], "event 0: write of dead object 5"),
-        ([("A", 1, 3), ("R", 1, 2, 2)],
-         "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1"),
-    ])
-    def test_messages(self, events, message):
+    MESSAGE_CASES = [
         # the strings validate_trace gives the same events
+        ([("A", 1, 3), ("A", 1, 2)], "event 1: alloc of live object 1", 20),
+        ([("F", 2)], "event 0: free of dead object 2", 20),
+        ([("W", 5, 0, 1)], "event 0: write of dead object 5", 20),
+        ([("A", 1, 3), ("R", 1, 2, 2)],
+         "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1", 20),
+        # the memory failures, which only replay finds
+        ([("A", 1, 11)], "event 0: object 1 of 11 cells exceeds capacity 10", 20),
+        ([("A", 1, 4), ("A", 2, 4)],
+         "event 1: cannot allocate 4 cells for object 2: 4 cells live, 0 free", 8),
+    ]
+
+    # ids name the trace and the message; the memory size is 20 but once
+    @pytest.mark.parametrize("events, message, mem", MESSAGE_CASES, ids=[
+        f"events{i}-{message}" for i, (_, message, _) in enumerate(MESSAGE_CASES)])
+    def test_messages(self, events, message, mem):
         with pytest.raises(SimulationError) as err:
-            replay(Trace(events), EngineConfig(20, Policy("golden")))
+            replay(Trace(events), EngineConfig(mem, Policy("golden")))
         assert str(err.value) == message
 
     def test_unknown_opcode_is_simulation_error(self):
@@ -369,10 +381,25 @@ class TestReplay:
                                         for object_id, r in engine.objects.items()))
             assert all(s == live_sets[0] for s in live_sets)
 
-    def test_live_objects_stay_disjoint(self):
-        trace = generate(WorkloadSpec("churn", 8, 400, 3, gc_every=23, seed=3))
-        engine = Engine(EngineConfig(trace.header.suggested_mem_size_cells,
-                                     Policy("golden")))
+    # automatic collections come from the memories below the #mem header
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs, mem_divisor=mem_divisors,
+           kind=st.sampled_from(["golden", "quarter", "fraction:0.3", "none",
+                                 "random", "single"]),
+           random_seed=st.integers(0, 1000))
+    @example(spec=WorkloadSpec("churn", 8, 400, 3, gc_every=23, seed=3),
+             mem_divisor=1, kind="golden", random_seed=0)
+    def test_live_objects_stay_disjoint(self, spec, mem_divisor, kind, random_seed):
+        policy = f"random:{random_seed}" if kind == "random" else kind
+        trace = generate(spec)
+        mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
+        engine = Engine(EngineConfig(mem, parse_policy(policy)))
         for event in trace.events:
-            engine.process(event)
+            gc_count = engine.gc_count
+            try:
+                engine.process(event)
+            except SimulationError:
+                return
             assert_disjoint_live(engine)
+            if engine.gc_count > gc_count:
+                assert_post_gc_invariants(engine)

@@ -18,15 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_replayer import bisected_golden_shift, reference_replay
-from wearsim.engine import (EngineConfig, ObjectTooLargeError,
-                            OutOfMemoryError, replay)
+from wearsim.engine import EngineConfig, SimulationError, replay
 from wearsim.metrics import summarize
 from wearsim.policy import golden_shift, parse_policy
 from wearsim.trace import Trace
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
 
-REFERENCE_MESSAGES = {OutOfMemoryError: "out of memory",
-                      ObjectTooLargeError: "object too large"}
+#: The engine's phrase for each memory failure, and the reference's.
+REFERENCE_MESSAGES = {"cannot allocate": "out of memory",
+                      "exceeds capacity": "object too large"}
+MEMORY_FAILURE = re.compile(rf"event (\d+): .*({'|'.join(REFERENCE_MESSAGES)})")
 
 specs = st.builds(
     WorkloadSpec,
@@ -92,11 +93,13 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
 
     try:
         report = replay(trace, config)
-    except (OutOfMemoryError, ObjectTooLargeError) as err:
-        index = int(re.match(r"event (\d+):", str(err)).group(1))
+    except SimulationError as err:
+        failure = MEMORY_FAILURE.match(str(err))
+        assert failure, f"not a memory failure: {err}"
+        index = int(failure.group(1))
         prefix = trace.events[:index]
         assert_same_counts(replay(Trace(prefix), config), reference(prefix))
-        with pytest.raises(ValueError, match=REFERENCE_MESSAGES[type(err)]):
+        with pytest.raises(ValueError, match=REFERENCE_MESSAGES[failure.group(2)]):
             reference(trace.events[:index + 1])
         return
     assert_same_counts(report, reference(trace.events))

@@ -146,9 +146,9 @@ class TestStartProgression:
         assert seq != start_sequence(Policy("random", 43), 100, 20)
 
     def test_rings_progress_independently(self):
-        state = PolicyState(Policy("golden"))
+        state = PolicyState(Policy("golden"), 360)
         # interleaved ring use: each ring sees its own 0, 137, 274, ...
-        assert [state.take(r, 360) for r in (0, 1, 0, 1, 0)] == [0, 0, 137, 137, 274]
+        assert [state.take(r) for r in (0, 1, 0, 1, 0)] == [0, 0, 137, 137, 274]
 
     def test_single_always_head(self):
         assert start_sequence(Policy("single"), 512, 6) == [0] * 6
