@@ -163,9 +163,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_report(args) -> int:
     mode = CountingMode(args.count)
-    stems = {path: os.path.splitext(os.path.basename(path))[0] for path in args.inputs}
+    inputs = list(dict.fromkeys(args.inputs))  # a repeated path is read once
+    stems = {path: os.path.splitext(os.path.basename(path))[0] for path in inputs}
     topn_paths: dict[str, str] = {}  # percell input -> its topn-csv path
-    for path in args.inputs:
+    for path in inputs:
         if path.endswith(".csv"):
             out_dir = args.out_dir or os.path.dirname(path) or "."
             out_path = os.path.normpath(
@@ -179,11 +180,10 @@ def _cmd_report(args) -> int:
             raise _Exit(EXIT_BAD_TRACE,
                         f"{path}: expected a .json summary or .csv percell file")
     # a summary is labelled by its stem unless another summary path shares it
-    stem_uses = Counter(stems[path] for path in set(args.inputs)
-                        if path.endswith(".json"))
+    stem_uses = Counter(stems[path] for path in inputs if path.endswith(".json"))
     summaries: list[tuple[str, object]] = []
     top_counts: dict[str, list[int]] = {}  # topn-csv path -> its counts
-    for path in args.inputs:  # every input is read before any output is written
+    for path in inputs:  # every input is read before any output is written
         try:
             if path.endswith(".json"):
                 with open(path) as f:

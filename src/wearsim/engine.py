@@ -3,19 +3,22 @@
 Memory is split into equal spaces of wear-counted cells: two rings for
 the dual-ring policies, one space of the full memory size for the
 single-space baseline.  The work space serves bump allocation and all
-reads and writes; a collection copies every live object, in ascending
-order of its current base cell, to consecutive addresses of the target
-space starting at the policy's next start location, and the target
-becomes the work space.  The target is the next space in turn: the idle
-ring with two rings, the work space itself with one, where the start is
-always 0.  The object table holds only live objects, each a size and a
-base cell in the work space: a freed object leaves the table at once and
-simply stops being copied, and its cells are reclaimed at the next
-collection, not reused before it.
+reads and writes; a collection copies every object still live, in
+ascending order of its current base cell, to consecutive addresses of
+the target space starting at the policy's next start location, and the
+target becomes the work space.  The target is the next space in turn:
+the idle ring with two rings, the work space itself with one, where the
+start is always 0.  The object table holds only the live set, each
+object a size and a base cell in the work space: a freed object leaves
+the table at once and simply stops being copied, and its cells are
+reclaimed at the next collection, not reused before it.
 
 Free space is `start`, the base of the block compacted at the last
-collection, and `used`, its cells plus all allocated since.  A failure is
-a SimulationError naming it; `replay` prefixes the failing event's index.
+collection, and `used`, its cells plus all allocated since.  Events must
+pass `validate_trace`, which alone states the rules of the live set.  A
+SimulationError names what only replay finds, that the memory cannot hold
+the trace: an object larger than a space, or no room after a collection;
+`replay` prefixes the failing event's index.
 
 Wear accounting: application reads and writes touch exactly the cells
 they name.  When GC traffic is counted, every relocated cell costs one
@@ -33,16 +36,17 @@ from itertools import chain
 from wearsim.memory import CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
 from wearsim.policy import Policy, PolicyState
-from wearsim.trace import ACCESS_NOUNS, Trace, TraceEvent
+from wearsim.trace import Trace, TraceEvent
 
 
 class SimulationError(Exception):
-    """A trace event that cannot be applied to the engine state."""
+    """The memory cannot hold an event: an object larger than a space, or no
+    room after a collection.  `process` also raises it for an unknown event."""
 
 
 @dataclass
 class ObjectRecord:
-    """A live object: its size and its base cell in the work space."""
+    """An object of the live set: its size and its base cell in the work space."""
 
     size_cells: int
     base_cell: int
@@ -87,8 +91,6 @@ class Engine:
         self.event_count = 0
 
     def handle_alloc(self, object_id: int, size_cells: int) -> None:
-        if object_id in self.objects:
-            raise SimulationError(f"alloc of live object {object_id}")
         if size_cells > self.capacity:
             raise SimulationError(
                 f"object {object_id} of {size_cells} cells exceeds capacity "
@@ -105,19 +107,12 @@ class Engine:
         self.used += size_cells
 
     def handle_free(self, object_id: int) -> None:
-        if self.objects.pop(object_id, None) is None:
-            raise SimulationError(f"free of dead object {object_id}")
+        del self.objects[object_id]
 
     def handle_access(self, object_id: int, offset: int, length: int,
                       kind: str) -> None:
-        """Record a read ("R") or write ("W") of part of a live object."""
-        record = self.objects.get(object_id)
-        if record is None:
-            raise SimulationError(f"{ACCESS_NOUNS[kind]} of dead object {object_id}")
-        if offset + length > record.size_cells:
-            raise SimulationError(
-                f"{ACCESS_NOUNS[kind]} of {length} cells at offset {offset} exceeds "
-                f"size {record.size_cells} of object {object_id}")
+        """Record a read ("R") or write ("W") of part of an object."""
+        record = self.objects[object_id]
         self.spaces[self.work_ring].record_range(
             (record.base_cell + offset) % self.capacity, length, kind)
 
@@ -144,8 +139,9 @@ class Engine:
     def process(self, event: TraceEvent) -> None:
         """Apply one event of a trace that passes `validate_trace`.
 
-        The event's shape is not checked here: a malformed tuple may raise
-        any exception or be applied as given.
+        Neither the event's shape nor the rules of the live set are checked
+        here: a malformed tuple, or an event that breaks one of those rules,
+        may raise any exception or be applied as given.
         """
         # handlers are looked up per call, so wrappers set on the class see all
         opcode = event[0]
@@ -186,7 +182,8 @@ def replay(trace: Trace, config: EngineConfig,
 
     Deterministic: the same trace and config always produce an
     identical report.  The trace must pass `validate_trace`, the one
-    gate on hand-built traces, as `Engine.process` requires.
+    gate on hand-built traces, as `Engine.process` requires; a
+    SimulationError then means the memory cannot hold the trace.
     """
     engine = Engine(config)
     try:

@@ -114,10 +114,8 @@ def parse_policy(spec: str) -> Policy:
     if kind not in POLICY_KINDS:
         raise PolicyError(f"unknown policy '{spec}'")
     read_arg = POLICY_ARGS.get(kind)
-    if read_arg is None:
-        if sep:
-            raise PolicyError(f"policy '{kind}' takes no argument")
-        return Policy(kind)
+    if read_arg is None:  # Policy refuses any argument text, even ""
+        return Policy(kind, text if sep else None)
     if not sep:
         raise PolicyError(f"policy '{kind}' needs an argument after a colon")
     try:

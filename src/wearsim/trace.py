@@ -71,7 +71,7 @@ class Violation:
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
 _LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
 
-#: The noun that validator and engine messages use for each access opcode.
+#: The noun that validate_trace messages use for each access opcode.
 ACCESS_NOUNS = {"R": "read", "W": "write"}
 
 

@@ -111,10 +111,27 @@ class TestRun:
         assert main(["run", "--trace", trace, "--mem-size", "20",
                      "--policy", "golden"]) == 3
 
-    def test_invalid_trace_exits_3(self, tmp_path):
-        trace = write_file(tmp_path / "bad.trace", "A 1 3\nF 1\nF 1\n")
-        assert main(["run", "--trace", trace, "--mem-size", "20",
-                     "--policy", "golden"]) == 3
+    # one trace per live-set rule, each refused by validate_trace alone
+    LIVE_SET_FAULTS = [
+        ("A 1 3\nA 1 2\n", "event 1: alloc of live object 1"),
+        ("A 1 3\nF 1\nF 1\n", "event 2: free of dead object 1"),
+        ("A 1 2\nF 1\nW 1 0 1\n", "event 2: write of dead object 1"),
+        ("A 1 3\nR 1 2 2\n",
+         "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1"),
+    ]
+
+    def test_invalid_trace_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for text, message in self.LIVE_SET_FAULTS:
+            trace = write_file(tmp_path / "bad.trace", text)
+            for command, *flags in (("run", "--policy", "golden"),
+                                    ("compare", "--policies", "none,golden")):
+                argv = [command, "--trace", trace, "--mem-size", "20", *flags,
+                        "--out", str(out)]
+                assert main(argv) == 3, argv
+                assert capsys.readouterr().err == (
+                    f"wearsim: error: {trace}: {message}\n"), argv
+                assert not out.exists(), argv
 
     def test_violations_listed_up_to_five(self, tmp_path, capsys):
         trace = write_file(tmp_path / "bad.trace", "A 1 3\n" + "F 2\n" * 7)
@@ -417,6 +434,22 @@ class TestReport:
             rows = list(csv.DictReader(f))
         assert [(r["baseline"], r["candidate"]) for r in rows] == [
             (summaries[0], summaries[1]), (summaries[1], summaries[0])]
+
+    def test_repeated_percell_is_read_once(self, tmp_path, capsys):
+        percell = write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
+        table = tmp_path / "ext.csv"
+        assert main(["report", percell, percell, "--topn", "2",
+                     "--out", str(table)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "p_top2.csv").read_text() == "rank,count\n1,1\n2,0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ext.csv", "p.csv", "p_top2.csv"]
+
+    def test_repeated_summary_is_read_once(self, tmp_path):
+        summary = write_file(tmp_path / "s.json", summary_text())
+        table = tmp_path / "ext.csv"
+        assert main(["report", summary, summary, "--out", str(table)]) == 0
+        assert table.read_text() == "baseline,candidate,avg_extension,max_extension\n"
 
     def test_same_topn_path_is_refused_before_writing(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)

@@ -81,12 +81,6 @@ class TestAlloc:
         assert engine.gc_count == 1
         assert engine.used == engine.capacity
 
-    def test_alloc_of_live_object_rejected(self):
-        engine = engine_for(20)
-        engine.handle_alloc(1, 2)
-        with pytest.raises(SimulationError, match="alloc of live object 1"):
-            engine.handle_alloc(1, 2)
-
     def test_id_reuse_after_free(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 2)
@@ -107,17 +101,6 @@ class TestFree:
         engine.handle_free(1)
         assert 1 not in engine.objects
         assert cell_total(engine) == 0
-
-    def test_free_of_unknown_object(self):
-        with pytest.raises(SimulationError, match="free of dead object 99"):
-            engine_for(20).handle_free(99)
-
-    def test_double_free(self):
-        engine = engine_for(20)
-        engine.handle_alloc(1, 3)
-        engine.handle_free(1)
-        with pytest.raises(SimulationError, match="free of dead object 1"):
-            engine.handle_free(1)
 
     def test_dead_objects_are_not_copied(self):
         engine = engine_for(20)
@@ -153,20 +136,6 @@ class TestAccess:
         report = engine.build_report()
         assert sum(report.per_cell_writes) == 0
         assert sum(report.per_cell_reads) == 4
-
-    def test_use_after_free(self):
-        engine = engine_for(20)
-        engine.handle_alloc(1, 2)
-        engine.handle_free(1)
-        with pytest.raises(SimulationError, match="write of dead object 1"):
-            engine.process(("W", 1, 0, 1))
-
-    def test_out_of_bounds(self):
-        engine = engine_for(20)
-        engine.handle_alloc(1, 3)
-        with pytest.raises(SimulationError, match="read of 2 cells at offset 2 "
-                           "exceeds size 3 of object 1"):
-            engine.process(("R", 1, 2, 2))
 
 
 class TestGc:
@@ -326,27 +295,19 @@ class TestReplay:
         config = EngineConfig(256, Policy("random", 42))
         assert replay(trace, config) == replay(trace, config)
 
-    def test_errors_name_the_event_index(self):
-        trace = Trace([("A", 1, 2), ("F", 1), ("W", 1, 0, 1)])
-        with pytest.raises(SimulationError, match="event 2: write of dead object 1"):
-            replay(trace, EngineConfig(20, Policy("golden")))
-
+    # the memory failures, the only ones replay states; validate_trace
+    # states the live-set rules (tests/test_trace.py::TestValidate)
     MESSAGE_CASES = [
-        # the strings validate_trace gives the same events
-        ([("A", 1, 3), ("A", 1, 2)], "event 1: alloc of live object 1", 20),
-        ([("F", 2)], "event 0: free of dead object 2", 20),
-        ([("W", 5, 0, 1)], "event 0: write of dead object 5", 20),
-        ([("A", 1, 3), ("R", 1, 2, 2)],
-         "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1", 20),
-        # the memory failures, which only replay finds
         ([("A", 1, 11)], "event 0: object 1 of 11 cells exceeds capacity 10", 20),
         ([("A", 1, 4), ("A", 2, 4)],
          "event 1: cannot allocate 4 cells for object 2: 4 cells live, 0 free", 8),
     ]
 
-    # ids name the trace and the message; the memory size is 20 but once
+    # ids name the trace and the message, numbered from 4: each case keeps
+    # the id it had when the four live-set cases, now in TestValidate, led
     @pytest.mark.parametrize("events, message, mem", MESSAGE_CASES, ids=[
-        f"events{i}-{message}" for i, (_, message, _) in enumerate(MESSAGE_CASES)])
+        f"events{i}-{message}"
+        for i, (_, message, _) in enumerate(MESSAGE_CASES, start=4)])
     def test_messages(self, events, message, mem):
         with pytest.raises(SimulationError) as err:
             replay(Trace(events), EngineConfig(mem, Policy("golden")))

@@ -62,13 +62,21 @@ class TestParsePolicy:
 
     @pytest.mark.parametrize("spec", [
         "goldenish", "fraction", "fraction:x", "fraction:1.0", "fraction:-0.1",
-        "random", "random:x", "golden:1", "",
+        "random", "random:x", "golden:1", "golden:", "single:x", "none:",
+        "quarter:0.5", "",
         # arguments are unsigned ASCII decimals, as trace fields are
         "random:\u0663", "random:1_000", "random:+5", "random: 5",
         "fraction:\u0660.5", "fraction: 0.25", "fraction:0.1_0", "fraction:-0.0",
     ])
     def test_rejects(self, spec):
         with pytest.raises(PolicyError):
+            parse_policy(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "golden:", "golden:1", "single:x", "none:", "quarter:0.5"])
+    def test_plain_kind_refuses_an_argument(self, spec):
+        kind = spec.partition(":")[0]
+        with pytest.raises(PolicyError, match=f"^policy '{kind}' takes no argument$"):
             parse_policy(spec)
 
     @given(st.one_of(
