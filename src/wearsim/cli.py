@@ -1,9 +1,12 @@
 """Command-line front end: gen, run, compare, and report subcommands.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable or invalid trace /
-malformed report input, 4 simulation error (e.g. out of memory).  A
-command that fails raises `_Exit`, which carries the code and the error
-lines; `main` alone prints those lines and returns the code.
+Exit codes: 0 success, 2 usage error, two outputs naming one file included,
+3 unreadable or invalid trace / malformed report input, 4 simulation error
+(e.g. out of memory).  A command writes nothing: it reads every input,
+computes every result and returns its outputs, which `main` alone writes in
+order, to stdout where no path is given.  A command that fails raises
+`_Exit`, which carries the code and the error lines; `main` alone prints
+those lines and returns the code.
 
 Every number on the command line is an unsigned ASCII decimal, read by
 trace.parse_uint or, for a fraction, by policy.parse_fraction.
@@ -49,16 +52,26 @@ def _topn(text: str) -> int:
     return n
 
 
-def _write_out(path: str | None, emit) -> None:
-    """Run `emit` on a text sink: the given path, or stdout when absent."""
-    try:
-        if path is None:
-            emit(sys.stdout)
-        else:
-            with open(path, "w", newline="") as sink:
-                emit(sink)
-    except OSError as err:
-        raise _Exit(EXIT_USAGE, f"cannot write {path or 'stdout'}: {err}") from err
+def _write_all(outputs) -> None:
+    """Write each (name, path or None for stdout, emit) in order, unless two
+    paths name one file: then exit 2, naming both, before opening any."""
+    names: dict[str, str] = {}  # real path -> name of the output that writes it
+    for name, path, _ in outputs:
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in names:
+                raise _Exit(EXIT_USAGE,
+                            f"{names[real]} and {name} would both write {path}")
+            names[real] = name
+    for _, path, emit in outputs:
+        try:
+            if path is None:
+                emit(sys.stdout)
+            else:
+                with open(path, "w", newline="") as sink:
+                    emit(sink)
+        except OSError as err:
+            raise _Exit(EXIT_USAGE, f"cannot write {path or 'stdout'}: {err}") from err
 
 
 def _load_valid_trace(path: str):
@@ -109,19 +122,19 @@ def _replay_each(args, policy_specs: list[str]) -> list:
     return reports
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> list:
     [report] = _replay_each(args, [args.policy])
-    _write_out(args.out, lambda sink: write_summary_json(report, sink))
+    outputs = [("--out", args.out, partial(write_summary_json, report))]
     if args.percell:
-        _write_out(args.percell, lambda sink: write_percell_csv(report, sink))
+        outputs.append(("--percell", args.percell, partial(write_percell_csv, report)))
     if args.topn is not None:
         counts = top_n_distribution(report.per_cell_reads, report.per_cell_writes,
                                     report.counting_mode, args.topn)
-        _write_out(args.topn_out, lambda sink: write_topn_csv(counts, sink))
-    return EXIT_OK
+        outputs.append(("--topn-out", args.topn_out, partial(write_topn_csv, counts)))
+    return outputs
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> list:
     policy_specs = args.policies.split(",")
     if len(policy_specs) < 2:
         raise _Exit(EXIT_USAGE,
@@ -130,60 +143,45 @@ def _cmd_compare(args) -> int:
     trace_name = os.path.basename(args.trace)
     rows = [compare_csv_row(trace_name, report) for report in reports]
     baseline = reports[0].summary
-    try:  # before any output, so a failing compare writes none
+    try:
         extensions = [(r.policy, *astuple(lifespan_extension(baseline, r.summary)))
                       for r in reports]
     except UndefinedExtensionError as err:
         raise _Exit(EXIT_SIMULATION, str(err)) from err
-    _write_out(args.out, partial(write_compare_csv, rows))
-    _write_out(args.extensions_out,
-               partial(write_table, ("policy", "avg_extension", "max_extension"),
-                       extensions))
-    return EXIT_OK
+    return [("--out", args.out, partial(write_compare_csv, rows)),
+            ("--extensions-out", args.extensions_out,
+             partial(write_table, ("policy", "avg_extension", "max_extension"),
+                     extensions))]
 
 
-def _cmd_gen(args) -> int:
-    spec = WorkloadSpec(
-        pattern=args.pattern,
-        object_count=args.objects,
-        op_count=args.ops,
-        mean_object_size=args.mean_size,
-        hot_fraction=args.hot_fraction,
-        gc_every=args.gc_every,
-        seed=args.seed,
-    )
+def _cmd_gen(args) -> list:
     try:
-        trace = generate(spec)
+        trace = generate(WorkloadSpec(
+            pattern=args.pattern, object_count=args.objects, op_count=args.ops,
+            mean_object_size=args.mean_size, hot_fraction=args.hot_fraction,
+            gc_every=args.gc_every, seed=args.seed))
     except ValueError as err:
         raise _Exit(EXIT_USAGE, str(err)) from err
-    _write_out(args.out, lambda sink: sink.write(format_trace(trace)))
-    print(f"wrote {len(trace.events)} events to {args.out}")
-    return EXIT_OK
+    return [("--out", args.out, lambda sink: sink.write(format_trace(trace))),
+            ("the event count", None, lambda sink: print(
+                f"wrote {len(trace.events)} events to {args.out}", file=sink))]
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> list:
     mode = CountingMode(args.count)
-    inputs = list(dict.fromkeys(args.inputs))  # a repeated path is read once
-    stems = {path: os.path.splitext(os.path.basename(path))[0] for path in inputs}
-    topn_paths: dict[str, str] = {}  # percell input -> its topn-csv path
-    for path in inputs:
-        if path.endswith(".csv"):
-            out_dir = args.out_dir or os.path.dirname(path) or "."
-            out_path = os.path.normpath(
-                os.path.join(out_dir, f"{stems[path]}_top{args.topn}.csv"))
-            for other, other_out in topn_paths.items():
-                if other_out == out_path:
-                    raise _Exit(EXIT_USAGE,
-                                f"{other} and {path} would both write {out_path}")
-            topn_paths[path] = out_path
-        elif not path.endswith(".json"):
+    spellings: dict[str, str] = {}  # real path -> its first spelling, read once
+    for path in args.inputs:
+        if not path.endswith((".csv", ".json")):
             raise _Exit(EXIT_BAD_TRACE,
                         f"{path}: expected a .json summary or .csv percell file")
+        spellings.setdefault(os.path.realpath(path), path)
+    inputs = list(spellings.values())
+    stems = {path: os.path.splitext(os.path.basename(path))[0] for path in inputs}
     # a summary is labelled by its stem unless another summary path shares it
     stem_uses = Counter(stems[path] for path in inputs if path.endswith(".json"))
     summaries: list[tuple[str, object]] = []
-    top_counts: dict[str, list[int]] = {}  # topn-csv path -> its counts
-    for path in inputs:  # every input is read before any output is written
+    outputs = []  # a topn-csv per percell input, then the extension table
+    for path in inputs:
         try:
             if path.endswith(".json"):
                 with open(path) as f:
@@ -192,12 +190,13 @@ def _cmd_report(args) -> int:
                 summaries.append((label, stats))
             else:
                 with open(path, newline="") as f:  # keeps no per-cell list
-                    top_counts[topn_paths[path]] = top_n_distribution(
-                        *load_percell_csv(f), mode, args.topn)
+                    counts = top_n_distribution(*load_percell_csv(f), mode, args.topn)
+                out_dir = args.out_dir or os.path.dirname(path) or "."
+                out_path = os.path.normpath(
+                    os.path.join(out_dir, f"{stems[path]}_top{args.topn}.csv"))
+                outputs.append((path, out_path, partial(write_topn_csv, counts)))
         except (OSError, ValueError, csv.Error) as err:
             raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
-    for out_path, counts in top_counts.items():
-        _write_out(out_path, partial(write_topn_csv, counts))
     rows = []
     for (base_name, base), (cand_name, cand) in permutations(summaries, 2):
         try:
@@ -206,10 +205,9 @@ def _cmd_report(args) -> int:
         except UndefinedExtensionError:
             print(f"wearsim: skipping {base_name} vs {cand_name}: "
                   "zero candidate statistic", file=sys.stderr)
-    _write_out(args.out, partial(
+    return [*outputs, ("--out", args.out, partial(
         write_table, ("baseline", "candidate", "avg_extension", "max_extension"),
-        rows))
-    return EXIT_OK
+        rows))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,12 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_all(args.func(args))
     except _Exit as exit_:
         code, *lines = exit_.args
         for line in lines:
             print(f"wearsim: error: {line}", file=sys.stderr)
         return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

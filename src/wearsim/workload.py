@@ -41,6 +41,21 @@ class WorkloadSpec:
     gc_every: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        if self.pattern not in PATTERNS:
+            raise ValueError(f"pattern must be one of {PATTERNS}, got '{self.pattern}'")
+        if self.op_count < 1:
+            raise ValueError(f"op_count must be >= 1, got {self.op_count}")
+        if self.mean_object_size < 1:
+            raise ValueError(
+                f"mean_object_size must be >= 1, got {self.mean_object_size}")
+        if self.object_count < 1:
+            raise ValueError(f"object_count must be >= 1, got {self.object_count}")
+        if self.gc_every < 1:
+            raise ValueError(f"gc_every must be >= 1, got {self.gc_every}")
+        if self.pattern == "hotspot" and not 0.0 < self.hot_fraction <= 1.0:
+            raise ValueError(f"hot_fraction must be in (0, 1], got {self.hot_fraction}")
+
 
 def hot_object_ids(spec: WorkloadSpec) -> frozenset[int]:
     """Ids of the objects that receive the bulk of hotspot accesses.
@@ -51,22 +66,6 @@ def hot_object_ids(spec: WorkloadSpec) -> frozenset[int]:
     count = min(spec.object_count,
                 max(1, math.ceil(spec.hot_fraction * spec.object_count)))
     return frozenset(range(1, count + 1))
-
-
-def _validate_spec(spec: WorkloadSpec) -> None:
-    if spec.pattern not in PATTERNS:
-        raise ValueError(f"pattern must be one of {PATTERNS}, got '{spec.pattern}'")
-    if spec.op_count < 1:
-        raise ValueError(f"op_count must be >= 1, got {spec.op_count}")
-    if spec.mean_object_size < 1:
-        raise ValueError(
-            f"mean_object_size must be >= 1, got {spec.mean_object_size}")
-    if spec.object_count < 1:
-        raise ValueError(f"object_count must be >= 1, got {spec.object_count}")
-    if spec.gc_every < 1:
-        raise ValueError(f"gc_every must be >= 1, got {spec.gc_every}")
-    if spec.pattern == "hotspot" and not 0.0 < spec.hot_fraction <= 1.0:
-        raise ValueError(f"hot_fraction must be in (0, 1], got {spec.hot_fraction}")
 
 
 class _Generator:
@@ -153,7 +152,6 @@ class _Generator:
 
 def generate(spec: WorkloadSpec) -> Trace:
     """Produce the deterministic trace described by `spec`."""
-    _validate_spec(spec)
     gen = _Generator(spec)
     if spec.pattern == "churn":
         gen.churn()

@@ -211,6 +211,19 @@ class TestRun:
             _, stats = load_summary(f)
         assert int(top_rows[1][1]) == stats.max_cell
 
+    def test_summary_then_topn_on_stdout(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        assert main(["run", "--trace", trace, "--mem-size", "20",
+                     "--policy", "golden", "--topn", "2"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "policy": "golden",\n  "mem_size_cells": 20,\n'
+            '  "counting_mode": "accesses",\n  "count_gc_traffic": true,\n'
+            '  "gc_count": 1,\n  "event_count": 3,\n  "summary": {\n'
+            '    "avg_all_cells": 0.45,\n    "avg_touched_cells": 1.5,\n'
+            '    "max_cell": 2,\n    "max_cell_address": 0,\n'
+            '    "touched_cell_count": 6\n  }\n}\n'
+            "rank,count\n1,2\n2,2\n")
+
     def test_writes_only_counting(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         _, (meta_a, stats_a) = run_summary(tmp_path, trace, "none")
@@ -451,6 +464,23 @@ class TestReport:
         assert main(["report", summary, summary, "--out", str(table)]) == 0
         assert table.read_text() == "baseline,candidate,avg_extension,max_extension\n"
 
+    def test_percell_spelled_two_ways_is_read_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
+        assert main(["report", "./p.csv", "p.csv", "--topn", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "p_top3.csv").read_text() == "rank,count\n1,1\n2,0\n3,0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p_top3.csv"]
+
+    def test_summary_spelled_two_ways_is_read_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "s.json", summary_text())
+        assert main(["report", "s.json", "./s.json"]) == 0
+        assert capsys.readouterr().out == (
+            "baseline,candidate,avg_extension,max_extension\n")
+
     def test_same_topn_path_is_refused_before_writing(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         percells = []
@@ -548,6 +578,32 @@ class TestReport:
         percell = write_file(tmp_path / "a.csv", "address,reads,writes\n0,1,0\n")
         assert main(["report", percell, other]) == 3
         assert not (tmp_path / "a_top1000.csv").exists()
+
+
+class TestOneFilePerOutput:
+    # argv, then the two outputs' names and the path they share
+    @pytest.mark.parametrize("argv, first, second, path", [
+        (["run", "--trace", "t.trace", "--mem-size", "20", "--policy", "golden",
+          "--out", "a.out", "--percell", "a.out"], "--out", "--percell", "a.out"),
+        (["run", "--trace", "t.trace", "--mem-size", "20", "--policy", "golden",
+          "--percell", "x.csv", "--topn", "2", "--topn-out", "./x.csv"],
+         "--percell", "--topn-out", "./x.csv"),
+        (["compare", "--trace", "t.trace", "--mem-size", "20", "--policies",
+          "none,golden", "--out", "c.csv", "--extensions-out", "c.csv"],
+         "--out", "--extensions-out", "c.csv"),
+        (["report", "p.csv", "--topn", "3", "--out", "p_top3.csv"],
+         "p.csv", "--out", "p_top3.csv"),
+    ], ids=["run-out-percell", "run-percell-topn-out", "compare", "report"])
+    def test_two_outputs_naming_one_file_are_refused(self, tmp_path, capsys,
+                                                     monkeypatch, argv, first,
+                                                     second, path):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"wearsim: error: {first} and {second} would both write {path}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.trace"]
 
 
 # Text that int() or float() might take, but that is not an unsigned ASCII

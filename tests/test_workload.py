@@ -99,6 +99,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="hot_fraction"):
             generate(spec_for("hotspot", hot_fraction=0.0))
 
+    def test_construction_checks_fields(self):
+        with pytest.raises(ValueError, match="pattern"):
+            WorkloadSpec("waves", 1, 1)
+
     def test_zero_gc_every(self):
         with pytest.raises(ValueError, match="gc_every"):
             generate(spec_for("churn", gc_every=0))
