@@ -1,12 +1,12 @@
 """Command-line front end: gen, run, compare, and report subcommands.
 
-Exit codes: 0 success, 2 usage error, two outputs naming one file included,
-3 unreadable or invalid trace / malformed report input, 4 simulation error
-(e.g. out of memory).  A command writes nothing: it reads every input,
-computes every result and returns its outputs, which `main` alone writes in
-order, to stdout where no path is given.  A command that fails raises
-`_Exit`, which carries the code and the error lines; `main` alone prints
-those lines and returns the code.
+Exit codes: 0 success, 2 usage error, an output naming an input or two
+outputs naming one file included, 3 unreadable or invalid trace / malformed
+report input, 4 simulation error (e.g. out of memory).  A command writes
+nothing: it reads every input, computes every result and returns its
+outputs, which `main` alone writes in order, to stdout where no path is
+given.  A command that fails raises `_Exit`, which carries the code and the
+error lines; `main` alone prints those lines and returns the code.
 
 Every number on the command line is an unsigned ASCII decimal, read by
 trace.parse_uint or, for a fraction, by policy.parse_fraction.
@@ -24,15 +24,13 @@ from functools import partial
 from itertools import permutations
 
 from wearsim.engine import MAX_MEM_CELLS, EngineConfig, SimulationError, replay
-from wearsim.metrics import (CountingMode, UndefinedExtensionError,
-                             compare_csv_row, lifespan_extension,
+from wearsim.metrics import (CountingMode, compare_csv_row, lifespan_extension,
                              load_percell_csv, load_summary,
                              top_n_distribution, write_compare_csv,
                              write_percell_csv, write_summary_json,
                              write_table, write_topn_csv)
-from wearsim.policy import PolicyError, parse_fraction, parse_policy
-from wearsim.trace import (TraceParseError, format_trace, parse_trace, parse_uint,
-                           validate_trace)
+from wearsim.policy import parse_fraction, parse_policy
+from wearsim.trace import format_trace, parse_trace, parse_uint, validate_trace
 from wearsim.workload import PATTERNS, WorkloadSpec, generate
 
 EXIT_OK = 0
@@ -52,13 +50,20 @@ def _topn(text: str) -> int:
     return n
 
 
-def _write_all(outputs) -> None:
-    """Write each (name, path or None for stdout, emit) in order, unless two
-    paths name one file: then exit 2, naming both, before opening any."""
+def _write_all(outputs, inputs) -> None:
+    """Write each (name, path or None for stdout, emit) in order, unless a
+    path names one of the command's input files or two paths name one file:
+    then exit 2, naming both, before opening any."""
+    read: dict[str, str] = {}  # real path -> the input's first spelling
+    for path in inputs:
+        read.setdefault(os.path.realpath(path), path)
     names: dict[str, str] = {}  # real path -> name of the output that writes it
     for name, path, _ in outputs:
         if path is not None:
             real = os.path.realpath(path)
+            if real in read:
+                raise _Exit(EXIT_USAGE,
+                            f"{name} would overwrite the input {read[real]}")
             if real in names:
                 raise _Exit(EXIT_USAGE,
                             f"{names[real]} and {name} would both write {path}")
@@ -81,10 +86,10 @@ def _load_valid_trace(path: str):
             trace = parse_trace(f.read().decode("utf-8"))
     except OSError as err:
         raise _Exit(EXIT_BAD_TRACE, f"cannot read trace: {err}") from err
-    except TraceParseError as err:
-        raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
     except UnicodeDecodeError as err:
         raise _Exit(EXIT_BAD_TRACE, f"{path}: not UTF-8 text: {err}") from err
+    except ValueError as err:
+        raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
     violations = validate_trace(trace)
     if violations:
         lines = [f"{path}: event {v.event_index}: {v.message}" for v in violations[:5]]
@@ -98,7 +103,7 @@ def _replay_each(args, policy_specs: list[str]) -> list:
     """Parse every policy, then replay the --trace file under each, in order."""
     try:
         policies = [parse_policy(spec) for spec in policy_specs]
-    except PolicyError as err:
+    except ValueError as err:
         raise _Exit(EXIT_USAGE, str(err)) from err
     trace = _load_valid_trace(args.trace)
     mem = args.mem_size
@@ -146,7 +151,7 @@ def _cmd_compare(args) -> list:
     try:
         extensions = [(r.policy, *astuple(lifespan_extension(baseline, r.summary)))
                       for r in reports]
-    except UndefinedExtensionError as err:
+    except ValueError as err:
         raise _Exit(EXIT_SIMULATION, str(err)) from err
     return [("--out", args.out, partial(write_compare_csv, rows)),
             ("--extensions-out", args.extensions_out,
@@ -202,7 +207,7 @@ def _cmd_report(args) -> list:
         try:
             rows.append((base_name, cand_name,
                          *astuple(lifespan_extension(base, cand))))
-        except UndefinedExtensionError:
+        except ValueError:
             print(f"wearsim: skipping {base_name} vs {cand_name}: "
                   "zero candidate statistic", file=sys.stderr)
     return [*outputs, ("--out", args.out, partial(
@@ -287,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the files the command reads: report's inputs, or run's and compare's --trace
+    inputs = getattr(args, "inputs", [args.trace] if "trace" in args else [])
     try:
-        _write_all(args.func(args))
+        _write_all(args.func(args), inputs)
     except _Exit as exit_:
         code, *lines = exit_.args
         for line in lines:

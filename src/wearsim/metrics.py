@@ -61,10 +61,6 @@ class Extension:
     max_extension: float
 
 
-class UndefinedExtensionError(ValueError):
-    """Extension against a candidate whose statistic is zero."""
-
-
 @dataclass
 class WearReport:
     """Everything one simulation run produced, ready for export.
@@ -136,7 +132,7 @@ def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
 def lifespan_extension(baseline: SummaryStats, candidate: SummaryStats) -> Extension:
     """How many times longer memory lasts under `candidate` than `baseline`."""
     if candidate.avg_all_cells == 0 or candidate.max_cell == 0:
-        raise UndefinedExtensionError(
+        raise ValueError(
             "candidate has zero accesses; lifespan extension is undefined")
     return Extension(
         avg_extension=baseline.avg_all_cells / candidate.avg_all_cells,

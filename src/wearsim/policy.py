@@ -37,10 +37,6 @@ GOLDEN_FRACTION = (3 - math.sqrt(5)) / 2
 POLICY_KINDS = ("golden", "quarter", "fraction", "none", "random", "single")
 
 
-class PolicyError(ValueError):
-    """Bad policy specification or misuse of a policy."""
-
-
 def parse_fraction(text: str) -> float:
     """Read an unsigned decimal such as 0.25, .5 or 2.5e-1; ValueError otherwise."""
     # float() alone would also take a sign, 'inf', 'nan', '_', spaces and other digits
@@ -63,7 +59,7 @@ def golden_shift(ring_size: int) -> int:
     avoids double-rounding on huge rings.
     """
     if ring_size < 2:
-        raise PolicyError(f"ring size must be >= 2, got {ring_size}")
+        raise ValueError(f"ring size must be >= 2, got {ring_size}")
     return (3 * ring_size - math.isqrt(5 * ring_size * ring_size) - 1) // 2
 
 
@@ -76,33 +72,21 @@ class Policy:
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
-            raise PolicyError(f"unknown policy kind '{self.kind}'")
+            raise ValueError(f"unknown policy kind '{self.kind}'")
         if self.kind == "fraction":
             # a negative zero would be written as a signed spec
             if (type(self.arg) is not float or not 0.0 <= self.arg < 1.0
                     or math.copysign(1.0, self.arg) < 0):
-                raise PolicyError("fraction must be a float in [0, 1)")
+                raise ValueError("fraction must be a float in [0, 1)")
         elif self.kind == "random":
             if type(self.arg) is not int or self.arg < 0:
-                raise PolicyError("random policy needs an int seed >= 0")
+                raise ValueError("random policy needs an int seed >= 0")
         elif self.arg is not None:
-            raise PolicyError(f"policy '{self.kind}' takes no argument")
+            raise ValueError(f"policy '{self.kind}' takes no argument")
 
     @property
     def is_dual_ring(self) -> bool:
         return self.kind != "single"
-
-    def shift_cells(self, ring_size: int) -> int:
-        """Constant per-use advance of the start location, in cells."""
-        if self.kind == "golden":
-            return golden_shift(ring_size)
-        if self.kind == "quarter":
-            return ring_size // 4
-        if self.kind == "fraction":
-            return math.floor(ring_size * self.arg)
-        if self.kind in ("none", "single"):
-            return 0
-        raise PolicyError(f"policy '{self.kind}' has no constant shift")
 
     def spec_string(self) -> str:
         return self.kind if self.arg is None else f"{self.kind}:{self.arg!r}"
@@ -112,16 +96,16 @@ def parse_policy(spec: str) -> Policy:
     """Parse a policy spec string (see module docstring for the grammar)."""
     kind, sep, text = spec.partition(":")
     if kind not in POLICY_KINDS:
-        raise PolicyError(f"unknown policy '{spec}'")
+        raise ValueError(f"unknown policy '{spec}'")
     read_arg = POLICY_ARGS.get(kind)
     if read_arg is None:  # Policy refuses any argument text, even ""
         return Policy(kind, text if sep else None)
     if not sep:
-        raise PolicyError(f"policy '{kind}' needs an argument after a colon")
+        raise ValueError(f"policy '{kind}' needs an argument after a colon")
     try:
         value = read_arg(text)
     except ValueError:
-        raise PolicyError(f"bad {kind} argument '{text}'") from None
+        raise ValueError(f"bad {kind} argument '{text}'") from None
     return Policy(kind, value)
 
 
@@ -136,11 +120,17 @@ class PolicyState:
     def __init__(self, policy: Policy, ring_size: int):
         self.ring_size = ring_size
         self.next_start = [0, 0]  # first use of either ring starts at its head
+        self._rng = None
         if policy.kind == "random":
             self._rng = random.Random(policy.arg)
-        else:
-            self._rng = None
-            self.shift = policy.shift_cells(ring_size)
+        elif policy.kind == "golden":
+            self.shift = golden_shift(ring_size)
+        elif policy.kind == "quarter":
+            self.shift = ring_size // 4
+        elif policy.kind == "fraction":
+            self.shift = math.floor(ring_size * policy.arg)
+        else:  # none and single always compact to the head
+            self.shift = 0
 
     def take(self, ring: int) -> int:
         """Start location for this compaction; advances the ring's progression."""
@@ -155,6 +145,6 @@ class PolicyState:
 def start_sequence(policy: Policy, ring_size: int, count: int) -> list[int]:
     """First `count` start locations a single ring receives under `policy`."""
     if count < 1:
-        raise PolicyError(f"count must be >= 1, got {count}")
+        raise ValueError(f"count must be >= 1, got {count}")
     state = PolicyState(policy, ring_size)
     return [state.take(0) for _ in range(count)]

@@ -36,14 +36,6 @@ FORMAT_VERSION = 1
 MAGIC_PREFIX = "#! wearsim-trace v"
 
 
-class TraceParseError(ValueError):
-    """Malformed trace text; the message names the offending line."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"{message} at line {line_no}")
-        self.line_no = line_no
-
-
 #: A trace event: the tuple of its wire-format line's fields.
 TraceEvent = tuple
 
@@ -108,8 +100,8 @@ def parse_trace(text: str) -> Trace:
     """Parse wire-format text into a Trace.
 
     Takes the whole trace as one string; LF and CRLF line endings are
-    both accepted.  Raises TraceParseError naming the first offending
-    line.
+    both accepted.  Raises ValueError naming the first offending line:
+    its message ends " at line <n>".
     """
     events: list[TraceEvent] = []
     suggested: int | None = None
@@ -129,7 +121,7 @@ def parse_trace(text: str) -> Trace:
                         raise ValueError("malformed #mem header")
                     suggested = parse_uint(fields[1])
         except ValueError as err:
-            raise TraceParseError(str(err), line_no) from None
+            raise ValueError(f"{err} at line {line_no}") from None
     return Trace(events, TraceHeader(suggested))
 
 

@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wearsim.cli import build_parser, main
 from wearsim.engine import MAX_MEM_CELLS
 from wearsim.metrics import load_summary
-from wearsim.trace import parse_trace
+from wearsim.trace import format_trace, parse_trace
+from wearsim.workload import PATTERNS, WorkloadSpec, generate
 
 TRIVIAL = "A 1 3\nW 1 0 3\nG\n"
 
@@ -96,20 +99,35 @@ class TestRun:
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         assert main(["run", "--trace", trace, "--policy", "golden"]) == 2
 
-    def test_unknown_policy_is_usage_error(self, tmp_path):
+    def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         assert main(["run", "--trace", trace, "--mem-size", "20",
                      "--policy", "spiral"]) == 2
+        assert capsys.readouterr().err == (
+            "wearsim: error: unknown policy 'spiral'\n")
+
+    @pytest.mark.parametrize("policy, message", [
+        ("fraction:1.0", "fraction must be a float in [0, 1)"),
+        ("golden:1", "policy 'golden' takes no argument"),
+        ("random", "policy 'random' needs an argument after a colon"),
+    ])
+    def test_refused_policy_message(self, tmp_path, capsys, policy, message):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        assert main(["run", "--trace", trace, "--mem-size", "20",
+                     "--policy", policy]) == 2
+        assert capsys.readouterr().err == f"wearsim: error: {message}\n"
 
     def test_bad_policy_is_usage_error_before_reading_trace(self, tmp_path):
         # the trace does not exist: reading it first would exit 3
         assert main(["run", "--trace", str(tmp_path / "nope.trace"),
                      "--policy", "spiral"]) == 2
 
-    def test_parse_error_exits_3(self, tmp_path):
+    def test_parse_error_exits_3(self, tmp_path, capsys):
         trace = write_file(tmp_path / "bad.trace", "A 1 0\n")
         assert main(["run", "--trace", trace, "--mem-size", "20",
                      "--policy", "golden"]) == 3
+        assert capsys.readouterr().err == (
+            f"wearsim: error: {trace}: size must be >= 1 at line 1\n")
 
     # one trace per live-set rule, each refused by validate_trace alone
     LIVE_SET_FAULTS = [
@@ -146,11 +164,14 @@ class TestRun:
         assert main(["run", "--trace", str(tmp_path / "nope.trace"),
                      "--mem-size", "20", "--policy", "golden"]) == 3
 
-    def test_non_utf8_trace_exits_3(self, tmp_path):
+    def test_non_utf8_trace_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "bad.trace"
         trace.write_bytes(b"A 1 3\n\xff\xfe\n")
         assert main(["run", "--trace", str(trace), "--mem-size", "20",
                      "--policy", "golden"]) == 3
+        assert capsys.readouterr().err == (
+            f"wearsim: error: {trace}: not UTF-8 text: 'utf-8' codec can't decode "
+            "byte 0xff in position 6: invalid start byte\n")
 
     def test_topn_zero_is_usage_error_before_replay(self, tmp_path):
         # the trace does not exist: reading it would exit 3, not 2
@@ -348,7 +369,9 @@ class TestCompare:
         assert main(["compare", "--trace", trace, "--mem-size", "20",
                      "--policies", "none,golden", "--out", str(out),
                      "--extensions-out", str(ext)]) == 4
-        assert "candidate has zero accesses" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "wearsim: error: candidate has zero accesses; lifespan extension "
+            "is undefined\n")
         assert not out.exists() and not ext.exists()
 
     def test_object_too_large_writes_no_output(self, tmp_path, capsys):
@@ -605,6 +628,26 @@ class TestOneFilePerOutput:
             "", f"wearsim: error: {first} and {second} would both write {path}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.trace"]
 
+    # argv, then the output's name and the input it names
+    @pytest.mark.parametrize("argv, output, input_", [
+        (["run", "--trace", "t.trace", "--mem-size", "20", "--policy", "golden",
+          "--out", "t.trace"], "--out", "t.trace"),
+        (["report", "s.json", "--out", "s.json"], "--out", "s.json"),
+        (["report", "p.csv", "p_top5.csv", "--topn", "5"], "p.csv", "p_top5.csv"),
+    ], ids=["run-out-trace", "report-out-summary", "report-topn-percell"])
+    def test_output_naming_an_input_is_refused(self, tmp_path, capsys, monkeypatch,
+                                               argv, output, input_):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        write_file(tmp_path / "s.json", summary_text())
+        for name in ("p.csv", "p_top5.csv"):
+            write_file(tmp_path / name, "address,reads,writes\n0,1,0\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"wearsim: error: {output} would overwrite the input {input_}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 # Text that int() or float() might take, but that is not an unsigned ASCII
 # decimal.  Every surface that reads a number refuses each of them.
@@ -685,6 +728,68 @@ class TestNumbersAtEverySurface:
         argv, code, reason = FRACTION_SURFACES[surface]
         assert exit_code(argv(tmp_path, token)) == code
         assert reason in capsys.readouterr().err
+
+
+# Trace bytes near the wire format: a generated trace, which replays, with
+# lines inserted that may break the grammar or a live-object rule (junk
+# opcodes, fields that int() might take), LF or CRLF line ends, and trailing
+# bytes that need not be UTF-8.
+FUZZ_FIELDS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-1", "+2", "1_0", "\u0663", "\uff11", "\u00b2", "", "x"]))
+FUZZ_LINES = st.one_of(
+    st.builds(lambda op, fields: " ".join([op, *fields]),
+              st.sampled_from(["A", "F", "R", "W", "G", "X", "a", "#mem"]),
+              st.lists(FUZZ_FIELDS, max_size=4)),
+    st.sampled_from(["", "#! wearsim-trace v1", "#! wearsim-trace v2", "# c"]))
+
+
+def fuzz_trace(spec, inserts, eol, tail):
+    lines = format_trace(generate(spec)).splitlines()
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    return "".join(line + eol for line in lines).encode() + tail
+
+
+FUZZ_TRACES = st.builds(
+    fuzz_trace,
+    st.builds(WorkloadSpec, st.sampled_from(PATTERNS), st.integers(1, 6),
+              st.integers(1, 40), st.integers(1, 8), gc_every=st.integers(1, 20),
+              seed=st.integers(0, 2**32)),
+    st.one_of(st.just([]),
+              st.lists(st.tuples(st.integers(0, 50), FUZZ_LINES), min_size=1,
+                       max_size=3)),
+    st.sampled_from(["\n", "\r\n"]),
+    st.one_of(st.just(b""), st.binary(min_size=1, max_size=3)))
+VALID_POLICIES = ["golden", "quarter", "fraction:0.3", "none", "random:1", "single"]
+FUZZ_POLICIES = st.one_of(
+    st.lists(st.sampled_from(VALID_POLICIES), min_size=2, max_size=3),
+    st.lists(st.sampled_from(VALID_POLICIES + ["spiral", "fraction:1.0", "golden:1",
+                                               "random", ""]), min_size=1, max_size=3))
+# --mem-size is always passed, so no #mem header sizes the memory, and any
+# size the engine accepts is small: it allocates counters for every cell.
+# Even sizes of at least 4 are drawn apart, so that many runs replay.
+FUZZ_MEM_SIZES = st.one_of(st.integers(2, 128).map(lambda n: str(2 * n)),
+                           st.integers(0, 256).map(str),
+                           st.sampled_from([str(MAX_MEM_CELLS + 2), "-4", "8x"]))
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(FUZZ_TRACES, FUZZ_POLICIES, FUZZ_MEM_SIZES)
+    def test_run_and_compare_exit_with_a_contract_code(self, trace_bytes, policies,
+                                                       mem_size):
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = Path(tmp, "t.trace")
+            trace.write_bytes(trace_bytes)
+            common = ["--trace", str(trace), "--mem-size", mem_size]
+            for argv in (
+                    ["run", *common, "--policy", policies[0],
+                     "--out", str(Path(tmp, "s.json"))],
+                    ["compare", *common, "--policies", ",".join(policies),
+                     "--out", str(Path(tmp, "c.csv")),
+                     "--extensions-out", str(Path(tmp, "e.csv"))]):
+                assert exit_code(argv) in {0, 2, 3, 4}, argv
 
 
 class TestPipelineDeterminism:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from wearsim import metrics
-from wearsim.metrics import (CountingMode, SummaryStats, UndefinedExtensionError,
-                             WearReport, compare_csv_row, lifespan_extension,
+from wearsim.metrics import (CountingMode, SummaryStats, WearReport,
+                             compare_csv_row, lifespan_extension,
                              load_percell_csv, load_summary, summarize,
                              top_n_distribution, write_compare_csv,
                              write_percell_csv, write_summary_json,
@@ -165,7 +165,8 @@ class TestLifespanExtension:
     def test_zero_candidate_rejected(self):
         good = stats_from([4])
         zero = stats_from([0])
-        with pytest.raises(UndefinedExtensionError):
+        with pytest.raises(ValueError, match="^candidate has zero accesses; "
+                           "lifespan extension is undefined$"):
             lifespan_extension(good, zero)
 
 

@@ -1,11 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wearsim.policy import (GOLDEN_FRACTION, Policy, PolicyError, PolicyState,
-                            golden_shift, parse_fraction, parse_policy,
-                            start_sequence)
+from wearsim.policy import (GOLDEN_FRACTION, Policy, PolicyState, golden_shift,
+                            parse_fraction, parse_policy, start_sequence)
 
 
 def circular_gaps(points, ring_size):
@@ -29,7 +29,7 @@ class TestGoldenShift:
         assert golden_shift(2) == 0
 
     def test_ring_too_small(self):
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError, match=r"^ring size must be >= 2, got 1$"):
             golden_shift(1)
 
     @given(st.integers(min_value=2, max_value=2**20))
@@ -38,6 +38,33 @@ class TestGoldenShift:
 
     def test_fraction_constant(self):
         assert abs(GOLDEN_FRACTION - 0.3819660112501051) < 1e-15
+
+
+# spec -> the message parse_policy refuses it with
+REFUSED_SPECS = {
+    "goldenish": "unknown policy 'goldenish'",
+    "fraction": "policy 'fraction' needs an argument after a colon",
+    "fraction:x": "bad fraction argument 'x'",
+    "fraction:1.0": "fraction must be a float in [0, 1)",
+    "fraction:-0.1": "bad fraction argument '-0.1'",
+    "random": "policy 'random' needs an argument after a colon",
+    "random:x": "bad random argument 'x'",
+    "golden:1": "policy 'golden' takes no argument",
+    "golden:": "policy 'golden' takes no argument",
+    "single:x": "policy 'single' takes no argument",
+    "none:": "policy 'none' takes no argument",
+    "quarter:0.5": "policy 'quarter' takes no argument",
+    "": "unknown policy ''",
+    # arguments are unsigned ASCII decimals, as trace fields are
+    "random:\u0663": "bad random argument '\u0663'",
+    "random:1_000": "bad random argument '1_000'",
+    "random:+5": "bad random argument '+5'",
+    "random: 5": "bad random argument ' 5'",
+    "fraction:\u0660.5": "bad fraction argument '\u0660.5'",
+    "fraction: 0.25": "bad fraction argument ' 0.25'",
+    "fraction:0.1_0": "bad fraction argument '0.1_0'",
+    "fraction:-0.0": "bad fraction argument '-0.0'",
+}
 
 
 class TestParsePolicy:
@@ -60,23 +87,16 @@ class TestParsePolicy:
     def test_fraction_spellings(self, spec, fraction):
         assert parse_policy(spec) == Policy("fraction", fraction)
 
-    @pytest.mark.parametrize("spec", [
-        "goldenish", "fraction", "fraction:x", "fraction:1.0", "fraction:-0.1",
-        "random", "random:x", "golden:1", "golden:", "single:x", "none:",
-        "quarter:0.5", "",
-        # arguments are unsigned ASCII decimals, as trace fields are
-        "random:\u0663", "random:1_000", "random:+5", "random: 5",
-        "fraction:\u0660.5", "fraction: 0.25", "fraction:0.1_0", "fraction:-0.0",
-    ])
+    @pytest.mark.parametrize("spec", REFUSED_SPECS)
     def test_rejects(self, spec):
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError, match=f"^{re.escape(REFUSED_SPECS[spec])}$"):
             parse_policy(spec)
 
     @pytest.mark.parametrize("spec", [
         "golden:", "golden:1", "single:x", "none:", "quarter:0.5"])
     def test_plain_kind_refuses_an_argument(self, spec):
         kind = spec.partition(":")[0]
-        with pytest.raises(PolicyError, match=f"^policy '{kind}' takes no argument$"):
+        with pytest.raises(ValueError, match=f"^policy '{kind}' takes no argument$"):
             parse_policy(spec)
 
     @given(st.one_of(
@@ -111,15 +131,15 @@ class TestParseFraction:
 
 class TestPolicyValidation:
     def test_unknown_kind(self):
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError, match="^unknown policy kind 'spiral'$"):
             Policy("spiral")
 
     def test_random_requires_seed(self):
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError, match="^random policy needs an int seed >= 0$"):
             Policy("random")
 
     def test_golden_takes_no_seed(self):
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError, match="^policy 'golden' takes no argument$"):
             Policy("golden", 1)
 
     @pytest.mark.parametrize("kind, arg", [
@@ -127,7 +147,9 @@ class TestPolicyValidation:
         ("fraction", float("nan")), ("random", 0.5), ("random", True),
     ])
     def test_argument_of_wrong_type_or_range(self, kind, arg):
-        with pytest.raises(PolicyError):
+        message = {"fraction": "fraction must be a float in [0, 1)",
+                   "random": "random policy needs an int seed >= 0"}[kind]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Policy(kind, arg)
 
 
@@ -161,19 +183,15 @@ class TestStartProgression:
     def test_single_always_head(self):
         assert start_sequence(Policy("single"), 512, 6) == [0] * 6
 
-    def test_random_has_no_constant_shift(self):
-        with pytest.raises(PolicyError, match="policy 'random' has no constant shift"):
-            Policy("random", 1).shift_cells(8)
-
     def test_count_must_be_positive(self):
-        with pytest.raises(PolicyError):
+        with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
             start_sequence(Policy("golden"), 100, 0)
 
     @given(st.sampled_from(["golden", "quarter", "fraction:0.37", "none"]),
            st.integers(min_value=4, max_value=5000))
     def test_step_invariance(self, spec, ring_size):
         policy = parse_policy(spec)
-        shift = policy.shift_cells(ring_size)
+        shift = PolicyState(policy, ring_size).shift
         seq = start_sequence(policy, ring_size, 20)
         assert all(0 <= x < ring_size for x in seq)
         assert all((b - a) % ring_size == shift for a, b in zip(seq, seq[1:]))
