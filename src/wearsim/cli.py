@@ -19,7 +19,6 @@ import csv
 import os
 import sys
 from collections import Counter
-from dataclasses import astuple
 from functools import partial
 from itertools import permutations
 
@@ -92,7 +91,7 @@ def _load_valid_trace(path: str):
         raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
     violations = validate_trace(trace)
     if violations:
-        lines = [f"{path}: event {v.event_index}: {v.message}" for v in violations[:5]]
+        lines = [f"{path}: {line}" for line in violations[:5]]
         if len(violations) > 5:
             lines.append(f"{path}: {len(violations) - 5} further violations")
         raise _Exit(EXIT_BAD_TRACE, *lines)
@@ -128,6 +127,8 @@ def _replay_each(args, policy_specs: list[str]) -> list:
 
 
 def _cmd_run(args) -> list:
+    if args.topn_out is not None and args.topn is None:
+        raise _Exit(EXIT_USAGE, "--topn-out needs --topn")
     [report] = _replay_each(args, [args.policy])
     outputs = [("--out", args.out, partial(write_summary_json, report))]
     if args.percell:
@@ -149,7 +150,7 @@ def _cmd_compare(args) -> list:
     rows = [compare_csv_row(trace_name, report) for report in reports]
     baseline = reports[0].summary
     try:
-        extensions = [(r.policy, *astuple(lifespan_extension(baseline, r.summary)))
+        extensions = [(r.policy, *lifespan_extension(baseline, r.summary))
                       for r in reports]
     except ValueError as err:
         raise _Exit(EXIT_SIMULATION, str(err)) from err
@@ -190,7 +191,7 @@ def _cmd_report(args) -> list:
         try:
             if path.endswith(".json"):
                 with open(path) as f:
-                    _, stats = load_summary(f)
+                    stats = load_summary(f)
                 label = stems[path] if stem_uses[stems[path]] == 1 else path
                 summaries.append((label, stats))
             else:
@@ -205,8 +206,7 @@ def _cmd_report(args) -> list:
     rows = []
     for (base_name, base), (cand_name, cand) in permutations(summaries, 2):
         try:
-            rows.append((base_name, cand_name,
-                         *astuple(lifespan_extension(base, cand))))
+            rows.append((base_name, cand_name, *lifespan_extension(base, cand)))
         except ValueError:
             print(f"wearsim: skipping {base_name} vs {cand_name}: "
                   "zero candidate statistic", file=sys.stderr)
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--percell", help="write percell-csv here")
     run.add_argument("--topn", type=_topn,
                      help="also compute the N busiest cells")
-    run.add_argument("--topn-out", help="topn-csv path (default: stdout)")
+    run.add_argument("--topn-out", help="topn-csv path (default: stdout); "
+                                         "needs --topn")
     run.set_defaults(func=_cmd_run)
 
     compare = sub.add_parser(

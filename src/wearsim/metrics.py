@@ -18,13 +18,14 @@ Report formats, each written to a text sink:
 
     summary-json   config echo, gc/event counts, summary statistics
     percell-csv    address,reads,writes over the full memory
-    topn-csv       rank,count for the n busiest cells
+    topn-csv       rank,count for the n busiest cells, at most one per cell
     compare-csv    trace,policy,avg_all,avg_touched,max,touched,gc_count
     extension-csv  policy,avg_extension,max_extension against compare's first
     report-csv     baseline,candidate,avg_extension,max_extension per pair
 
-write_table writes every CSV table but percell-csv, and load_summary and
-load_percell_csv read a text stream.
+write_table writes every CSV table but percell-csv.  Of a text stream,
+load_summary reads back a summary-json's SummaryStats and load_percell_csv
+a percell-csv's (reads, writes); lifespan_extension returns a pair.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ class SummaryStats:
     max_cell: int
     max_cell_address: int
     touched_cell_count: int
-
-
-@dataclass(frozen=True)
-class Extension:
-    avg_extension: float
-    max_extension: float
 
 
 @dataclass
@@ -120,24 +115,23 @@ def summarize(lengths: Sequence[int], reads: Sequence[int], writes: Sequence[int
 
 def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
                        mode: CountingMode, n: int) -> list[int]:
-    """The n largest per-cell counts, descending, zero-padded to length n."""
+    """The n largest per-cell counts, descending; one per cell, so fewer
+    than n when the memory has fewer cells."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    counts = sorted(writes if mode is CountingMode.WRITES else map(add, reads, writes),
-                    reverse=True)[:n]
-    counts.extend([0] * (n - len(counts)))
-    return counts
+    return sorted(writes if mode is CountingMode.WRITES else map(add, reads, writes),
+                  reverse=True)[:n]
 
 
-def lifespan_extension(baseline: SummaryStats, candidate: SummaryStats) -> Extension:
-    """How many times longer memory lasts under `candidate` than `baseline`."""
+def lifespan_extension(baseline: SummaryStats,
+                       candidate: SummaryStats) -> tuple[float, float]:
+    """How many times longer memory lasts under `candidate` than `baseline`,
+    as (avg_extension, max_extension)."""
     if candidate.avg_all_cells == 0 or candidate.max_cell == 0:
         raise ValueError(
             "candidate has zero accesses; lifespan extension is undefined")
-    return Extension(
-        avg_extension=baseline.avg_all_cells / candidate.avg_all_cells,
-        max_extension=baseline.max_cell / candidate.max_cell,
-    )
+    return (baseline.avg_all_cells / candidate.avg_all_cells,
+            baseline.max_cell / candidate.max_cell)
 
 
 # --- serialization ---------------------------------------------------------
@@ -145,8 +139,8 @@ def lifespan_extension(baseline: SummaryStats, candidate: SummaryStats) -> Exten
 # Integers are written exactly; floats rely on repr, which round-trips
 # doubles exactly and always carries enough significant digits.
 
-def summary_json_dict(report: WearReport) -> dict:
-    return {
+def write_summary_json(report: WearReport, sink) -> None:
+    json.dump({
         "policy": report.policy,
         "mem_size_cells": report.mem_size_cells,
         "counting_mode": report.counting_mode.value,
@@ -154,16 +148,12 @@ def summary_json_dict(report: WearReport) -> dict:
         "gc_count": report.gc_count,
         "event_count": report.event_count,
         "summary": asdict(report.summary),
-    }
-
-
-def write_summary_json(report: WearReport, sink) -> None:
-    json.dump(summary_json_dict(report), sink, indent=2)
+    }, sink, indent=2)
     sink.write("\n")
 
 
-def load_summary(source: TextIO) -> tuple[dict, SummaryStats]:
-    """Read back a summary-json text stream; returns (full dict, stats).
+def load_summary(source: TextIO) -> SummaryStats:
+    """Read back a summary-json text stream's summary statistics.
 
     Raises ValueError unless ``summary`` is an object holding each
     SummaryStats field as write_summary_json writes it: an int, not a bool,
@@ -186,7 +176,7 @@ def load_summary(source: TextIO) -> tuple[dict, SummaryStats]:
             raise ValueError(f"summary field {f.name!r} is missing or not "
                              f"{'a finite number' if is_float else 'an integer'}")
         stats[f.name] = float(value) if is_float else value
-    return data, SummaryStats(**stats)
+    return SummaryStats(**stats)
 
 
 #: Most cells per write to the sink, so a long run is never one string.

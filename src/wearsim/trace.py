@@ -24,8 +24,9 @@ their own file I/O and decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
-``("W", id, off, len)`` or ``("G",)``.  validate_trace reports a
-hand-built tuple that no line could produce as a ``malformed-event``.
+``("W", id, off, len)`` or ``("G",)``.  validate_trace returns one
+line, ``event <i>: <message>``, per event that breaks a live-object rule
+or is a hand-built tuple that no line could produce.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class TraceHeader:
 class Trace:
     events: list[TraceEvent]
     header: TraceHeader = field(default_factory=TraceHeader)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One broken live-object rule found by validate_trace."""
-
-    event_index: int
-    rule: str
-    message: str
 
 
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
@@ -139,32 +131,31 @@ def _malformation(event) -> str | None:
     return None
 
 
-def validate_trace(trace: Trace) -> list[Violation]:
-    """Replay the live-object rules over the events; return all violations.
+def validate_trace(trace: Trace) -> list[str]:
+    """Replay the live-object rules over the events; return one line,
+    ``event <i>: <message>``, per violation.
 
     Order-sensitive and deterministic.  A violating event does not
     change the tracked live set, so later events are judged as if the
-    offender had been dropped.  A ``malformed-event`` is judged by no
-    other rule.
+    offender had been dropped.  A malformed event is judged by no other
+    rule.
     """
-    violations: list[Violation] = []
+    errors: list[str] = []
     live: dict[int, int] = {}
     for index, event in enumerate(trace.events):
         problem = _malformation(event)
         if problem is not None:
-            violations.append(Violation(index, "malformed-event", problem))
+            errors.append(f"event {index}: {problem}")
             continue
         opcode = event[0]
         if opcode == "A":
             if event[1] in live:
-                violations.append(Violation(
-                    index, "alloc-live", f"alloc of live object {event[1]}"))
+                errors.append(f"event {index}: alloc of live object {event[1]}")
             else:
                 live[event[1]] = event[2]
         elif opcode == "F":
             if event[1] not in live:
-                violations.append(Violation(
-                    index, "free-dead", f"free of dead object {event[1]}"))
+                errors.append(f"event {index}: free of dead object {event[1]}")
             else:
                 del live[event[1]]
         elif opcode != "G":
@@ -172,14 +163,11 @@ def validate_trace(trace: Trace) -> list[Violation]:
             kind = ACCESS_NOUNS[opcode]
             size = live.get(object_id)
             if size is None:
-                violations.append(Violation(
-                    index, "access-dead", f"{kind} of dead object {object_id}"))
+                errors.append(f"event {index}: {kind} of dead object {object_id}")
             elif offset + length > size:
-                violations.append(Violation(
-                    index, "out-of-bounds",
-                    f"{kind} of {length} cells at offset {offset} "
-                    f"exceeds size {size} of object {object_id}"))
-    return violations
+                errors.append(f"event {index}: {kind} of {length} cells at offset "
+                              f"{offset} exceeds size {size} of object {object_id}")
+    return errors
 
 
 def format_trace(trace: Trace) -> str:

@@ -40,18 +40,21 @@ def exit_code(argv):
 
 
 def run_summary(tmp_path, trace_path, policy, mem=20, extra=()):
+    """Run one policy; return the summary-json's path, its keys and its stats."""
     out = tmp_path / f"summary_{policy.replace(':', '_')}.json"
     code = main(["run", "--trace", trace_path, "--mem-size", str(mem),
                  "--policy", policy, "--out", str(out), *extra])
     assert code == 0
     with open(out) as f:
-        return out, load_summary(f)
+        meta = json.load(f)
+        f.seek(0)
+        return out, meta, load_summary(f)
 
 
 class TestRun:
     def test_trivial_trace(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
-        _, (meta, stats) = run_summary(tmp_path, trace, "none")
+        _, meta, stats = run_summary(tmp_path, trace, "none")
         assert meta["gc_count"] == 1
         assert meta["event_count"] == 3
         assert meta["policy"] == "none"
@@ -191,6 +194,18 @@ class TestRun:
                                           "--topn", str(MAX_MEM_CELLS)])
         assert args.topn == MAX_MEM_CELLS
 
+    def test_topn_out_without_topn_is_usage_error_before_reading_trace(
+            self, tmp_path, capsys):
+        # refused before the trace is read: a missing one would exit 3
+        for trace in (str(tmp_path / "nope.trace"),
+                      write_file(tmp_path / "t.trace", TRIVIAL)):
+            top = tmp_path / "top.csv"
+            assert main(["run", "--trace", trace, "--mem-size", "20",
+                         "--policy", "golden", "--topn-out", str(top)]) == 2
+            assert capsys.readouterr() == (
+                "", "wearsim: error: --topn-out needs --topn\n")
+            assert not top.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--percell", "--topn-out"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
@@ -229,7 +244,7 @@ class TestRun:
             top_rows = list(csv.reader(f))
         assert top_rows[0] == ["rank", "count"]
         with open(out) as f:
-            _, stats = load_summary(f)
+            stats = load_summary(f)
         assert int(top_rows[1][1]) == stats.max_cell
 
     def test_summary_then_topn_on_stdout(self, tmp_path, capsys):
@@ -247,13 +262,9 @@ class TestRun:
 
     def test_writes_only_counting(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
-        _, (meta_a, stats_a) = run_summary(tmp_path, trace, "none")
-        out = tmp_path / "w.json"
-        assert main(["run", "--trace", trace, "--mem-size", "20",
-                     "--policy", "none", "--count", "writes",
-                     "--out", str(out)]) == 0
-        with open(out) as f:
-            meta_w, stats_w = load_summary(f)
+        _, _, stats_a = run_summary(tmp_path, trace, "none")
+        _, meta_w, stats_w = run_summary(tmp_path, trace, "none",
+                                         extra=("--count", "writes"))
         assert meta_w["counting_mode"] == "writes"
         assert stats_w.max_cell <= stats_a.max_cell
 
@@ -391,8 +402,8 @@ class TestCompare:
         with open(out) as f:
             rows = {row["policy"]: row for row in csv.DictReader(f)}
         for policy in ("golden", "single"):
-            _, (meta, stats) = run_summary(tmp_path, hotspot_trace, policy,
-                                           mem=1024)
+            _, meta, stats = run_summary(tmp_path, hotspot_trace, policy,
+                                         mem=1024)
             assert int(rows[policy]["max"]) == stats.max_cell
             assert float(rows[policy]["avg_all"]) == stats.avg_all_cells
             assert int(rows[policy]["gc_count"]) == meta["gc_count"]
@@ -409,8 +420,8 @@ class TestCompare:
 class TestReport:
     def test_extension_table_matches_library(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
-        golden_out, (_, golden_stats) = run_summary(tmp_path, trace, "golden")
-        none_out, (_, none_stats) = run_summary(tmp_path, trace, "none")
+        golden_out, _, golden_stats = run_summary(tmp_path, trace, "golden")
+        none_out, _, none_stats = run_summary(tmp_path, trace, "none")
         table = tmp_path / "ext.csv"
         assert main(["report", str(none_out), str(golden_out),
                      "--out", str(table)]) == 0
@@ -477,7 +488,7 @@ class TestReport:
         assert main(["report", percell, percell, "--topn", "2",
                      "--out", str(table)]) == 0
         assert capsys.readouterr().err == ""
-        assert (tmp_path / "p_top2.csv").read_text() == "rank,count\n1,1\n2,0\n"
+        assert (tmp_path / "p_top2.csv").read_text() == "rank,count\n1,1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ext.csv", "p.csv", "p_top2.csv"]
 
@@ -493,7 +504,7 @@ class TestReport:
         write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
         assert main(["report", "./p.csv", "p.csv", "--topn", "3"]) == 0
         assert capsys.readouterr().err == ""
-        assert (tmp_path / "p_top3.csv").read_text() == "rank,count\n1,1\n2,0\n3,0\n"
+        assert (tmp_path / "p_top3.csv").read_text() == "rank,count\n1,1\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p_top3.csv"]
 
     def test_summary_spelled_two_ways_is_read_once(self, tmp_path, capsys,
@@ -662,8 +673,7 @@ def gen_argv(tmp_path, flag, value):
 
 def run_argv(tmp_path, trace_text, *flags):
     trace = write_file(tmp_path / "t.trace", trace_text)
-    return ["run", "--trace", trace, "--out", str(tmp_path / "s.json"),
-            "--topn-out", str(tmp_path / "top.csv"), *flags]
+    return ["run", "--trace", trace, "--out", str(tmp_path / "s.json"), *flags]
 
 
 def report_argv(tmp_path, percell_text, *flags):

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from unittest import mock
 
 import pytest
@@ -124,8 +125,9 @@ class TestTopN:
                                   CountingMode.ACCESSES, 3) == [9, 9, 5]
 
     def test_padding(self):
+        # one count per cell: n past the memory's size adds no rows
         assert top_n_distribution([0, 0], [4, 2],
-                                  CountingMode.ACCESSES, 5) == [4, 2, 0, 0, 0]
+                                  CountingMode.ACCESSES, 5) == [4, 2]
 
     def test_first_is_max(self):
         writes = [3, 17, 2, 17]
@@ -145,22 +147,21 @@ class TestTopN:
 class TestLifespanExtension:
     def test_identity(self):
         stats = stats_from([1, 2, 3])
-        ext = lifespan_extension(stats, stats)
-        assert (ext.avg_extension, ext.max_extension) == (1.0, 1.0)
+        assert lifespan_extension(stats, stats) == (1.0, 1.0)
 
     def test_published_max_endpoint(self):
         # molecule-manipulation row: baseline max 170234 vs golden max 3494
         baseline = SummaryStats(5117.0, 5117.0, 170234, 0, 1)
         candidate = SummaryStats(2812.0, 2812.0, 3494, 0, 1)
-        ext = lifespan_extension(baseline, candidate)
-        assert ext.max_extension == pytest.approx(48.72, abs=0.01)
+        _, max_extension = lifespan_extension(baseline, candidate)
+        assert max_extension == pytest.approx(48.72, abs=0.01)
 
     def test_published_avg_endpoint(self):
         # video-encoder row: baseline avg 694 vs golden avg 110
         baseline = SummaryStats(694.0, 694.0, 2657, 0, 1)
         candidate = SummaryStats(110.0, 110.0, 741, 0, 1)
-        ext = lifespan_extension(baseline, candidate)
-        assert ext.avg_extension == pytest.approx(6.31, abs=0.01)
+        avg_extension, _ = lifespan_extension(baseline, candidate)
+        assert avg_extension == pytest.approx(6.31, abs=0.01)
 
     def test_zero_candidate_rejected(self):
         good = stats_from([4])
@@ -254,13 +255,17 @@ class TestExport:
                 with pytest.raises(ValueError, match="row 1 malformed"):
                     load_percell_csv(
                         io.StringIO(f"address,reads,writes\n{row}\n"))
+        # the addresses run 0, 1, 2, ...: none skipped, none repeated
+        for rows, bad in [("1,0,0\n", 1), ("0,0,0\n0,0,0\n", 2)]:
+            with pytest.raises(ValueError, match=f"^percell-csv row {bad} malformed$"):
+                load_percell_csv(io.StringIO(f"address,reads,writes\n{rows}"))
 
     def test_summary_json_round_trip(self):
         report = make_report([0, 3], [2, 4])
         sink = io.StringIO()
         write_summary_json(report, sink)
-        meta, stats = load_summary(io.StringIO(sink.getvalue()))
-        assert stats == report.summary
+        assert load_summary(io.StringIO(sink.getvalue())) == report.summary
+        meta = json.loads(sink.getvalue())
         assert meta["policy"] == "golden"
         assert meta["mem_size_cells"] == 2
         assert meta["counting_mode"] == "accesses"

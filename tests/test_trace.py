@@ -122,25 +122,23 @@ class TestParseUint:
 class TestValidate:
     def test_double_free(self):
         trace = Trace([("A", 1, 3), ("F", 1), ("F", 1)])
-        violations = validate_trace(trace)
-        assert len(violations) == 1
-        assert violations[0].event_index == 2
-        assert violations[0].rule == "free-dead"
+        assert validate_trace(trace) == ["event 2: free of dead object 1"]
 
     def test_out_of_bounds(self):
         violations = validate_trace(Trace([("A", 1, 3), ("R", 1, 2, 2)]))
-        assert [(v.event_index, v.rule) for v in violations] == [(1, "out-of-bounds")]
+        assert violations == [
+            "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1"]
 
     def test_valid_sequence(self):
         assert validate_trace(Trace([("A", 1, 3), ("W", 1, 0, 3), ("G",)])) == []
 
     def test_alloc_of_live_object(self):
         violations = validate_trace(Trace([("A", 1, 3), ("A", 1, 2)]))
-        assert [v.rule for v in violations] == ["alloc-live"]
+        assert violations == ["event 1: alloc of live object 1"]
 
     def test_access_of_dead_object(self):
         violations = validate_trace(Trace([("W", 5, 0, 1)]))
-        assert [v.rule for v in violations] == ["access-dead"]
+        assert violations == ["event 0: write of dead object 5"]
 
     def test_id_reuse_after_free_is_valid(self):
         trace = Trace([("A", 1, 3), ("F", 1), ("A", 1, 2), ("R", 1, 0, 2)])
@@ -150,38 +148,48 @@ class TestValidate:
         trace = Trace([("A", 1, 3), ("F", 2), ("R", 1, 9, 1), ("F", 1), ("F", 1)])
         assert validate_trace(trace) == validate_trace(trace)
 
-    @pytest.mark.parametrize("event", [
-        pytest.param(("A", 1, 0), id="zero-size"),
-        pytest.param(("R", 1, 0, 0), id="zero-length"),
-        pytest.param(("X", 1), id="unknown-opcode"),
-        pytest.param(("F",), id="missing-field"),
-        pytest.param(("G", 1), id="extra-field"),
-        pytest.param(("A", -1, 3), id="negative-id"),
-        pytest.param(("R", 1, -1, 1), id="negative-offset"),
-        pytest.param(("W", 1, 0, "2"), id="string-field"),
-        pytest.param(("A", 1, 3.0), id="float-field"),
-        pytest.param(("A", True, 3), id="bool-field"),
-        pytest.param((), id="empty"),
-        pytest.param("A 1 3", id="not-a-tuple"),
+    @pytest.mark.parametrize("event, message", [
+        pytest.param(("A", 1, 0), "size must be >= 1", id="zero-size"),
+        pytest.param(("R", 1, 0, 0), "length must be >= 1", id="zero-length"),
+        pytest.param(("X", 1), "not a trace event: ('X', 1)", id="unknown-opcode"),
+        pytest.param(("F",), "not a trace event: ('F',)", id="missing-field"),
+        pytest.param(("G", 1), "not a trace event: ('G', 1)", id="extra-field"),
+        pytest.param(("A", -1, 3),
+                     "field -1 of ('A', -1, 3) is not an unsigned integer",
+                     id="negative-id"),
+        pytest.param(("R", 1, -1, 1),
+                     "field -1 of ('R', 1, -1, 1) is not an unsigned integer",
+                     id="negative-offset"),
+        pytest.param(("W", 1, 0, "2"),
+                     "field '2' of ('W', 1, 0, '2') is not an unsigned integer",
+                     id="string-field"),
+        pytest.param(("A", 1, 3.0),
+                     "field 3.0 of ('A', 1, 3.0) is not an unsigned integer",
+                     id="float-field"),
+        pytest.param(("A", True, 3),
+                     "field True of ('A', True, 3) is not an unsigned integer",
+                     id="bool-field"),
+        pytest.param((), "not a trace event: ()", id="empty"),
+        pytest.param("A 1 3", "not a trace event: 'A 1 3'", id="not-a-tuple"),
     ])
-    def test_malformed_event(self, event):
+    def test_malformed_event(self, event, message):
         violations = validate_trace(Trace([("A", 1, 3), event]))
-        assert [(v.event_index, v.rule) for v in violations] == [(1, "malformed-event")]
+        assert violations == [f"event 1: {message}"]
 
     def test_malformed_event_is_dropped(self):
         trace = Trace([("A", 1, 0), ("R", 1, 0, 1), ("A", 1, 2), ("W", 1, 0, 2)])
-        assert [(v.event_index, v.rule) for v in validate_trace(trace)] == [
-            (0, "malformed-event"), (1, "access-dead")]
+        assert validate_trace(trace) == [
+            "event 0: size must be >= 1", "event 1: read of dead object 1"]
 
     def test_messages(self):
         trace = Trace([("A", 1, 3), ("A", 1, 2), ("F", 2), ("W", 5, 0, 1),
                        ("R", 1, 2, 2), ("A", 2, 0)])
-        assert [v.message for v in validate_trace(trace)] == [
-            "alloc of live object 1",
-            "free of dead object 2",
-            "write of dead object 5",
-            "read of 2 cells at offset 2 exceeds size 3 of object 1",
-            "size must be >= 1",
+        assert validate_trace(trace) == [
+            "event 1: alloc of live object 1",
+            "event 2: free of dead object 2",
+            "event 3: write of dead object 5",
+            "event 4: read of 2 cells at offset 2 exceeds size 3 of object 1",
+            "event 5: size must be >= 1",
         ]
 
 
