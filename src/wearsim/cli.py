@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 usage error, an output naming an input or two
 outputs naming one file included, 3 unreadable or invalid trace / malformed
 report input, 4 simulation error (e.g. out of memory).  A command writes
 nothing: it reads every input, computes every result and returns its
-outputs, which `main` alone writes in order, to stdout where no path is
-given.  A command that fails raises `_Exit`, which carries the code and the
-error lines; `main` alone prints those lines and returns the code.
+outputs, which `main` alone writes, to stdout where no path is given.  The
+files replace their targets only once all are complete, so a write that
+fails leaves none of them.  A command that fails raises `_Exit`, which
+carries the code and the error lines; `main` alone prints those lines and
+returns the code.
 
 Every number on the command line is an unsigned ASCII decimal, read by
 trace.parse_uint or, for a fraction, by policy.parse_fraction.
@@ -19,6 +21,7 @@ import csv
 import os
 import sys
 from collections import Counter
+from contextlib import suppress
 from functools import partial
 from itertools import permutations
 
@@ -49,15 +52,35 @@ def _topn(text: str) -> int:
     return n
 
 
+def _create_beside(path: str) -> tuple[str, int]:
+    """Create a new file in path's directory, with the mode open() would
+    give it; return its name and a descriptor open for writing."""
+    head, tail = os.path.split(path)
+    while True:
+        temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            return temp, os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        except FileExistsError:
+            continue
+
+
 def _write_all(outputs, inputs) -> None:
-    """Write each (name, path or None for stdout, emit) in order, unless a
-    path names one of the command's input files or two paths name one file:
-    then exit 2, naming both, before opening any."""
+    """Write each (name, path or None for stdout, emit), unless a path names
+    one of the command's input files or two paths name one file: then exit 2,
+    naming both, before opening any.
+
+    Each file is written to a temporary file beside it, and only once every
+    one is complete do they replace their targets; then the stdout outputs
+    are written in order.  So a write that fails leaves no output behind.
+    A target that exists and is not a regular file, such as /dev/null, is
+    written in place.
+    """
     read: dict[str, str] = {}  # real path -> the input's first spelling
     for path in inputs:
         read.setdefault(os.path.realpath(path), path)
     names: dict[str, str] = {}  # real path -> name of the output that writes it
-    for name, path, _ in outputs:
+    files = []  # (path, real path, emit) of each output to a file
+    for name, path, emit in outputs:
         if path is not None:
             real = os.path.realpath(path)
             if real in read:
@@ -67,15 +90,37 @@ def _write_all(outputs, inputs) -> None:
                 raise _Exit(EXIT_USAGE,
                             f"{names[real]} and {name} would both write {path}")
             names[real] = name
-    for _, path, emit in outputs:
-        try:
-            if path is None:
-                emit(sys.stdout)
-            else:
-                with open(path, "w", newline="") as sink:
+            files.append((path, real, emit))
+    staged: list[tuple[str, str]] = []  # (temporary file, real path it replaces)
+    try:
+        for path, real, emit in files:
+            try:
+                if os.path.exists(real) and not os.path.isfile(real):
+                    sink = open(path, "w", newline="")
+                else:
+                    temp, fd = _create_beside(real)
+                    staged.append((temp, real))
+                    sink = open(fd, "w", newline="")
+                with sink:
                     emit(sink)
-        except OSError as err:
-            raise _Exit(EXIT_USAGE, f"cannot write {path or 'stdout'}: {err}") from err
+            except OSError as err:
+                raise _Exit(EXIT_USAGE, f"cannot write {path}: {err.strerror}") from err
+        for temp, real in staged:
+            try:
+                os.replace(temp, real)
+            except OSError as err:
+                raise _Exit(EXIT_USAGE, f"cannot write {real}: {err.strerror}") from err
+        staged.clear()
+    finally:
+        for temp, _ in staged:  # on failure; a replaced one is gone already
+            with suppress(OSError):
+                os.remove(temp)
+    for _, path, emit in outputs:
+        if path is None:
+            try:
+                emit(sys.stdout)
+            except OSError as err:
+                raise _Exit(EXIT_USAGE, f"cannot write stdout: {err.strerror}") from err
 
 
 def _load_valid_trace(path: str):

@@ -12,7 +12,10 @@ A report holds its counts as runs of cells with equal reads and writes.
 Wear at the memory sizes a leveling study needs is a step function, so a
 report of millions of cells has a few hundred runs, and the statistics
 cost per run, not per cell; per-cell counts are runs of length 1.  The
-percell-csv export writes one row per cell all the same.
+percell-csv export writes one row per cell all the same, but builds them
+per run and per block of 1000 addresses, whose rows differ only in their
+last three digits: a C join of cached strings, not a str() per cell.  The
+top-N table keeps a heap of n counts, not a sorted copy of every cell's.
 
 Report formats, each written to a text sink:
 
@@ -35,6 +38,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from heapq import heapify, heapreplace
 from itertools import chain, compress, islice, repeat
 from operator import add, mul
 from typing import Iterable, Sequence, TextIO
@@ -116,11 +120,21 @@ def summarize(lengths: Sequence[int], reads: Sequence[int], writes: Sequence[int
 def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
                        mode: CountingMode, n: int) -> list[int]:
     """The n largest per-cell counts, descending; one per cell, so fewer
-    than n when the memory has fewer cells."""
+    than n when the memory has fewer cells.
+
+    A min-heap of the n largest counts so far is all it holds besides its
+    arguments: at most n ints, not a sorted copy of every cell's count.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return sorted(writes if mode is CountingMode.WRITES else map(add, reads, writes),
-                  reverse=True)[:n]
+    counts = iter(writes) if mode is CountingMode.WRITES else map(add, reads, writes)
+    top = list(islice(counts, n))
+    heapify(top)
+    for count in counts:
+        if count > top[0]:
+            heapreplace(top, count)
+    top.sort(reverse=True)
+    return top
 
 
 def lifespan_extension(baseline: SummaryStats,
@@ -179,23 +193,40 @@ def load_summary(source: TextIO) -> SummaryStats:
     return SummaryStats(**stats)
 
 
-#: Most cells per write to the sink, so a long run is never one string.
-PERCELL_CHUNK_CELLS = 1 << 16
+#: Cells per percell-csv block: block q > 0 holds addresses 1000q to
+#: 1000q + 999, each spelt str(q) and then a remainder of three digits.
+PERCELL_BLOCK_CELLS = 1000
+_REMAINDERS = [f"{r:03}" for r in range(PERCELL_BLOCK_CELLS)]
 
 
 def write_percell_csv(report: WearReport, sink) -> None:
-    # a run's rows share the text after the address, so each chunk of them
-    # is joined in C with that text as the separator
+    # A run's rows share the text after the address, and in a block they
+    # share the text before its remainder, so each run piece in a block is
+    # one C join of cached strings.  A run is split at block bounds, and a
+    # block's pieces are written together, so no write holds more than a
+    # block of rows.
     sink.write("address,reads,writes\n")
-    start = 0
+    pieces: list[str] = []
+    q, r, prefix = 0, 0, ""  # the next address is 1000q + r; prefix is str(q)
     for length, reads, writes in zip(report.run_lengths, report.run_reads,
                                      report.run_writes):
         suffix = f",{reads},{writes}\n"
-        end = start + length
-        for low in range(start, end, PERCELL_CHUNK_CELLS):
-            high = min(low + PERCELL_CHUNK_CELLS, end)
-            sink.write(suffix.join(map(str, range(low, high))) + suffix)
-        start = end
+        while length:
+            stop = min(r + length, PERCELL_BLOCK_CELLS)
+            if q:
+                pieces.append(prefix + (suffix + prefix).join(_REMAINDERS[r:stop])
+                              + suffix)
+            else:
+                pieces.append(suffix.join(map(str, range(r, stop))) + suffix)
+            length -= stop - r
+            r = stop
+            if r == PERCELL_BLOCK_CELLS:
+                sink.write("".join(pieces))
+                pieces.clear()
+                q, r = q + 1, 0
+                prefix = str(q)
+    if pieces:
+        sink.write("".join(pieces))
 
 
 def load_percell_csv(source: TextIO) -> tuple[list[int], list[int]]:

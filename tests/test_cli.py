@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -658,6 +660,65 @@ class TestOneFilePerOutput:
         assert capsys.readouterr() == (
             "", f"wearsim: error: {output} would overwrite the input {input_}\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+    # a file output replaces its target only once every output is complete
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch,
+                                           existing):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        if existing is not None:
+            write_file(tmp_path / "cmp.csv", existing)
+        assert main(["compare", "--trace", "t.trace", "--mem-size", "20",
+                     "--policies", "none,golden", "--out", "cmp.csv",
+                     "--extensions-out", "nodir/ext.csv"]) == 2
+        left = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert left == {"t.trace": TRIVIAL,
+                        **({} if existing is None else {"cmp.csv": existing})}
+        assert capsys.readouterr() == (
+            "", "wearsim: error: cannot write nodir/ext.csv: "
+                "No such file or directory\n")
+
+    def test_new_output_mode_follows_umask(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        umask = os.umask(0o027)
+        try:
+            assert main(["run", "--trace", "t.trace", "--mem-size", "20",
+                         "--policy", "golden", "--out", "s.json"]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat("s.json").st_mode) == 0o640
+
+    def test_output_through_a_symlink_writes_its_target(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        os.mkdir("d")
+        os.symlink(os.path.join("d", "s.json"), "link.json")
+        assert main(["run", "--trace", "t.trace", "--mem-size", "20",
+                     "--policy", "golden", "--out", "link.json"]) == 0
+        assert os.path.islink("link.json")
+        assert os.listdir("d") == ["s.json"]
+        with open("d/s.json") as f:
+            assert load_summary(f).max_cell == 2
+
+    def test_fifo_output_is_written_in_place(self, tmp_path):
+        trace = write_file(tmp_path / "t.trace", TRIVIAL)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        assert main(["run", "--trace", trace, "--mem-size", "20",
+                     "--policy", "golden", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert json.loads(got[0])["policy"] == "golden"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "t.trace"]
 
 
 # Text that int() or float() might take, but that is not an unsigned ASCII

@@ -139,6 +139,18 @@ class TestTopN:
         top = top_n_distribution([0] * 4, writes, CountingMode.ACCESSES, 4)
         assert sum(top) == sum(writes)
 
+    @given(st.data())
+    def test_equals_sorted_prefix(self, data):
+        reads = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+        writes = data.draw(st.lists(st.integers(0, 3), min_size=len(reads),
+                                    max_size=len(reads)))
+        mode = data.draw(st.sampled_from(list(CountingMode)))
+        n = data.draw(st.just(len(reads)) | st.integers(1, len(reads) + 3))
+        counts = (writes if mode is CountingMode.WRITES
+                  else [r + w for r, w in zip(reads, writes)])
+        assert (top_n_distribution(reads, writes, mode, n)
+                == sorted(counts, reverse=True)[:n])
+
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             top_n_distribution([0], [0], CountingMode.ACCESSES, 0)
@@ -211,25 +223,26 @@ class TestExport:
         reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
         assert (reads, writes) == (report.per_cell_reads, report.per_cell_writes)
 
-    # Chunks as short as one cell, so runs cross chunk bounds all the time,
-    # and one run always spans more than a chunk.
+    # A lead run puts the drawn runs anywhere in the first two blocks, so
+    # they start mid-block and cross a block bound; one run always spans
+    # more than a block.
     @given(st.data())
     def test_percell_bytes_match_csv_writer(self, data):
-        chunk_cells = data.draw(st.integers(1, 8), label="chunk_cells")
+        block = metrics.PERCELL_BLOCK_CELLS
         runs = data.draw(runs_lists, label="runs")
-        long_run = (chunk_cells + data.draw(st.integers(1, 3)),
+        long_run = (block + data.draw(st.integers(1, block)),
                     data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
         runs.insert(data.draw(st.integers(0, len(runs))), long_run)
+        runs.insert(0, (data.draw(st.integers(1, 2 * block)), 0, 1))
         report = report_of_runs(runs)
         sink = io.StringIO()
-        with mock.patch.object(metrics, "PERCELL_CHUNK_CELLS", chunk_cells):
-            write_percell_csv(report, sink)
+        write_percell_csv(report, sink)
         assert sink.getvalue() == csv_writer_percell(report)
         reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
         assert (reads, writes) == cells_of(runs)
 
-    def test_run_longer_than_a_chunk(self):
-        long_run = metrics.PERCELL_CHUNK_CELLS + 3
+    def test_run_longer_than_a_block(self):
+        long_run = metrics.PERCELL_BLOCK_CELLS + 3
         report = report_of_runs([(2, 0, 0), (long_run, 1, 12), (1, 0, 0)])
         sink = io.StringIO()
         write_percell_csv(report, sink)
@@ -237,14 +250,31 @@ class TestExport:
         reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
         assert (reads, writes) == (report.per_cell_reads, report.per_cell_writes)
 
-    def test_percell_writes_in_bounded_chunks(self):
-        chunk = metrics.PERCELL_CHUNK_CELLS
-        report = report_of_runs([(5, 0, 1), (2 * chunk, 2, 0)])
+    def test_addresses_that_gain_a_digit(self):
+        # over a million cells; each address that gains a digit sits inside
+        # a run or at a run's edge
+        report = report_of_runs([(998, 1, 0), (9003, 0, 2), (90000, 3, 3),
+                                 (899999, 0, 0), (5, 7, 1)])
+        sink = io.StringIO()
+        write_percell_csv(report, sink)
+        text = sink.getvalue()
+        assert text == csv_writer_percell(report)
+        rows = text.splitlines()[1:]
+        assert len(rows) == 1_000_005
+        assert rows[997:1001] == ["997,1,0", "998,0,2", "999,0,2", "1000,0,2"]
+        assert rows[9999:10002] == ["9999,0,2", "10000,0,2", "10001,3,3"]
+        assert rows[99999:100002] == ["99999,3,3", "100000,3,3", "100001,0,0"]
+        assert rows[999999:] == ["999999,0,0", "1000000,7,1", "1000001,7,1",
+                                 "1000002,7,1", "1000003,7,1", "1000004,7,1"]
+
+    def test_percell_writes_in_bounded_blocks(self):
+        block = metrics.PERCELL_BLOCK_CELLS
+        report = report_of_runs([(5, 0, 1), (2 * block, 2, 0)])
         sink = mock.Mock()
         write_percell_csv(report, sink)
         rows = [call.args[0].count("\n") for call in sink.write.call_args_list]
-        assert sum(rows) == 1 + 5 + 2 * chunk  # the header and every cell
-        assert max(rows) == chunk
+        assert sum(rows) == 1 + 5 + 2 * block  # the header and every cell
+        assert rows == [1, block, block, 5]  # the header, then a write per block
 
     def test_percell_rejects_garbage(self):
         with pytest.raises(ValueError):
