@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 2 usage error, an output naming an input or two
 outputs naming one file included, 3 unreadable or invalid trace / malformed
-report input, 4 simulation error (e.g. out of memory).  A command writes
-nothing: it reads every input, computes every result and returns its
-outputs, which `main` alone writes, to stdout where no path is given.  The
-files replace their targets only once all are complete, so a write that
-fails leaves none of them.  A command that fails raises `_Exit`, which
-carries the code and the error lines; `main` alone prints those lines and
-returns the code.
+report input, summaries that count different things included, 4 simulation
+error (e.g. out of memory).  A command writes nothing, but for `report`'s
+line on stderr for each pair it skips: it reads every input, computes every
+result and returns its outputs, which `main` alone writes, to stdout where
+no path is given.  The files replace their targets only once all are
+complete, so a write that fails leaves none of them.  A command that fails
+raises `_Exit`, which carries the code and the error lines; `main` alone
+prints those lines and returns the code.
 
 Every number on the command line is an unsigned ASCII decimal, read by
 trace.parse_uint or, for a fraction, by policy.parse_fraction.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 from collections import Counter
@@ -231,12 +233,19 @@ def _cmd_report(args) -> list:
     # a summary is labelled by its stem unless another summary path shares it
     stem_uses = Counter(stems[path] for path in inputs if path.endswith(".json"))
     summaries: list[tuple[str, object]] = []
+    first = None  # the first summary's path and what its statistics count
     outputs = []  # a topn-csv per percell input, then the extension table
     for path in inputs:
         try:
             if path.endswith(".json"):
                 with open(path) as f:
-                    stats = load_summary(f)
+                    stats, basis = load_summary(f)
+                first_path, first_basis = first = first or (path, basis)
+                for field, value in basis.items():
+                    if value != first_basis[field]:
+                        raise _Exit(EXIT_BAD_TRACE, f"{first_path} and {path} differ "
+                                    f"in {field}: {json.dumps(first_basis[field])} "
+                                    f"vs {json.dumps(value)}")
                 label = stems[path] if stem_uses[stems[path]] == 1 else path
                 summaries.append((label, stats))
             else:

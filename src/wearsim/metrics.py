@@ -14,8 +14,9 @@ report of millions of cells has a few hundred runs, and the statistics
 cost per run, not per cell; per-cell counts are runs of length 1.  The
 percell-csv export writes one row per cell all the same, but builds them
 per run and per block of 1000 addresses, whose rows differ only in their
-last three digits: a C join of cached strings, not a str() per cell.  The
-top-N table keeps a heap of n counts, not a sorted copy of every cell's.
+last three digits (in block 0, in the whole address): a C join of cached
+strings, not a str() per cell.  The top-N table keeps a heap of n counts,
+not a sorted copy of every cell's.
 
 Report formats, each written to a text sink:
 
@@ -27,8 +28,9 @@ Report formats, each written to a text sink:
     report-csv     baseline,candidate,avg_extension,max_extension per pair
 
 write_table writes every CSV table but percell-csv.  Of a text stream,
-load_summary reads back a summary-json's SummaryStats and load_percell_csv
-a percell-csv's (reads, writes); lifespan_extension returns a pair.
+load_summary reads back a summary-json's SummaryStats and what they count,
+and load_percell_csv a percell-csv's (reads, writes); lifespan_extension
+returns a pair.
 """
 
 from __future__ import annotations
@@ -166,11 +168,14 @@ def write_summary_json(report: WearReport, sink) -> None:
     sink.write("\n")
 
 
-def load_summary(source: TextIO) -> SummaryStats:
-    """Read back a summary-json text stream's summary statistics.
+def load_summary(source: TextIO) -> tuple[SummaryStats, dict]:
+    """Read back a summary-json text stream: its summary statistics, and
+    what they count, a dict of its counting_mode (a CountingMode),
+    mem_size_cells and count_gc_traffic.
 
-    Raises ValueError unless ``summary`` is an object holding each
-    SummaryStats field as write_summary_json writes it: an int, not a bool,
+    Raises ValueError unless each is there as write_summary_json writes it:
+    a CountingMode value, an int that is not a bool and a bool, and a
+    ``summary`` object holding each SummaryStats field, an int, not a bool,
     for an int field and an int or a float for a float field, in either
     case finite and within float range so that extension ratios are floats.
     """
@@ -181,6 +186,15 @@ def load_summary(source: TextIO) -> SummaryStats:
     summary = data.get("summary") if type(data) is dict else None
     if type(summary) is not dict:
         raise ValueError("not a summary-json file: no summary object")
+    mode, mem, gc_traffic = map(data.get, ("counting_mode", "mem_size_cells",
+                                           "count_gc_traffic"))
+    if mode not in [m.value for m in CountingMode]:
+        raise ValueError("field 'counting_mode' is missing or not one of "
+                         + ", ".join(m.value for m in CountingMode))
+    if type(mem) is not int:
+        raise ValueError("field 'mem_size_cells' is missing or not an integer")
+    if type(gc_traffic) is not bool:
+        raise ValueError("field 'count_gc_traffic' is missing or not a boolean")
     stats = {}
     for f in fields(SummaryStats):
         value = summary.get(f.name)
@@ -190,12 +204,15 @@ def load_summary(source: TextIO) -> SummaryStats:
             raise ValueError(f"summary field {f.name!r} is missing or not "
                              f"{'a finite number' if is_float else 'an integer'}")
         stats[f.name] = float(value) if is_float else value
-    return SummaryStats(**stats)
+    return SummaryStats(**stats), {"counting_mode": CountingMode(mode),
+                                   "mem_size_cells": mem,
+                                   "count_gc_traffic": gc_traffic}
 
 
 #: Cells per percell-csv block: block q > 0 holds addresses 1000q to
 #: 1000q + 999, each spelt str(q) and then a remainder of three digits.
 PERCELL_BLOCK_CELLS = 1000
+_BLOCK_0 = [str(r) for r in range(PERCELL_BLOCK_CELLS)]
 _REMAINDERS = [f"{r:03}" for r in range(PERCELL_BLOCK_CELLS)]
 
 
@@ -207,24 +224,20 @@ def write_percell_csv(report: WearReport, sink) -> None:
     # block of rows.
     sink.write("address,reads,writes\n")
     pieces: list[str] = []
-    q, r, prefix = 0, 0, ""  # the next address is 1000q + r; prefix is str(q)
+    q, r, prefix, table = 0, 0, "", _BLOCK_0  # address 1000q + r: prefix + table[r]
     for length, reads, writes in zip(report.run_lengths, report.run_reads,
                                      report.run_writes):
         suffix = f",{reads},{writes}\n"
         while length:
             stop = min(r + length, PERCELL_BLOCK_CELLS)
-            if q:
-                pieces.append(prefix + (suffix + prefix).join(_REMAINDERS[r:stop])
-                              + suffix)
-            else:
-                pieces.append(suffix.join(map(str, range(r, stop))) + suffix)
+            pieces.append(prefix + (suffix + prefix).join(table[r:stop]) + suffix)
             length -= stop - r
             r = stop
             if r == PERCELL_BLOCK_CELLS:
                 sink.write("".join(pieces))
                 pieces.clear()
                 q, r = q + 1, 0
-                prefix = str(q)
+                prefix, table = str(q), _REMAINDERS
     if pieces:
         sink.write("".join(pieces))
 

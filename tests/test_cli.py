@@ -26,11 +26,20 @@ def write_file(path, text):
 
 
 def summary_text(**fields):
-    """A summary-json document: a trivial run's stats, with `fields` as raw JSON."""
-    values = {"avg_all_cells": "0.3", "avg_touched_cells": "1.0", "max_cell": "2",
-              "max_cell_address": "0", "touched_cell_count": "6", **fields}
-    body = ", ".join(f'"{key}": {value}' for key, value in values.items())
-    return '{"policy": "none", "summary": {' + body + "}}"
+    """A summary-json document of a trivial run, with `fields` as raw JSON: a
+    statistic's name sets it in the summary object, any other a top-level key,
+    and None leaves the key out."""
+    top = {"policy": '"none"', "mem_size_cells": "20",
+           "counting_mode": '"accesses"', "count_gc_traffic": "true"}
+    stats = {"avg_all_cells": "0.3", "avg_touched_cells": "1.0", "max_cell": "2",
+             "max_cell_address": "0", "touched_cell_count": "6"}
+    for key, value in fields.items():
+        (stats if key in stats else top)[key] = value
+
+    def obj(values):
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in values.items()
+                               if value is not None) + "}"
+    return obj({**top, "summary": obj(stats)})
 
 
 def exit_code(argv):
@@ -50,7 +59,7 @@ def run_summary(tmp_path, trace_path, policy, mem=20, extra=()):
     with open(out) as f:
         meta = json.load(f)
         f.seek(0)
-        return out, meta, load_summary(f)
+        return out, meta, load_summary(f)[0]
 
 
 class TestRun:
@@ -141,6 +150,8 @@ class TestRun:
         ("A 1 2\nF 1\nW 1 0 1\n", "event 2: write of dead object 1"),
         ("A 1 3\nR 1 2 2\n",
          "event 1: read of 2 cells at offset 2 exceeds size 3 of object 1"),
+        ("A 1 2\nW 1 1 2\n",
+         "event 1: write of 2 cells at offset 1 exceeds size 2 of object 1"),
     ]
 
     def test_invalid_trace_exits_3(self, tmp_path, capsys):
@@ -246,8 +257,13 @@ class TestRun:
             top_rows = list(csv.reader(f))
         assert top_rows[0] == ["rank", "count"]
         with open(out) as f:
-            stats = load_summary(f)
+            stats, _ = load_summary(f)
         assert int(top_rows[1][1]) == stats.max_cell
+        # past the memory's 20 cells, the table lists every cell once
+        assert main(["run", "--trace", trace, "--mem-size", "20",
+                     "--policy", "golden", "--out", str(out),
+                     "--topn", "30", "--topn-out", str(topn)]) == 0
+        assert len(topn.read_text().splitlines()) == 1 + 20
 
     def test_summary_then_topn_on_stdout(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
@@ -439,11 +455,10 @@ class TestReport:
         trace = write_file(tmp_path / "t.trace",
                            TRIVIAL + "A 2 2\nR 2 0 2\nG\nW 1 1 1\nG\n")
         summaries = []
-        for policy, name, extra in (("none", "a,1", ()), ("golden", "b", ()),
-                                    ("golden", 'c"q', ("--no-gc-traffic",))):
+        for policy, name in (("none", "a,1"), ("golden", "b"), ("single", 'c"q')):
             summaries.append(str(tmp_path / f"{name}.json"))
             assert main(["run", "--trace", trace, "--mem-size", "20", "--policy",
-                         policy, "--out", summaries[-1], *extra]) == 0
+                         policy, "--out", summaries[-1]]) == 0
         table = tmp_path / "ext.csv"
         assert main(["report", *summaries, "--out", str(table)]) == 0
         assert table.read_text() == (
@@ -592,14 +607,46 @@ class TestReport:
         ("s.json", summary_text(avg_all_cells="1" + "0" * 400)),
         ("s.json", "[" * 100_000),
         ("c.csv", "address,reads,writes\n0," + "1" * 200_000 + ",0\n"),
+        ("s.json", summary_text(counting_mode=None)),
+        ("s.json", summary_text(counting_mode='"reads"')),
+        ("s.json", summary_text(counting_mode="[1]")),
+        ("s.json", summary_text(mem_size_cells=None)),
+        ("s.json", summary_text(mem_size_cells="true")),
+        ("s.json", summary_text(mem_size_cells="20.0")),
+        ("s.json", summary_text(count_gc_traffic=None)),
+        ("s.json", summary_text(count_gc_traffic="1")),
     ], ids=["list", "null-summary", "list-field", "bool-field",
-            "float-past-range", "int-past-range", "nested", "long-csv-field"])
+            "float-past-range", "int-past-range", "nested", "long-csv-field",
+            "no-counting-mode", "unknown-counting-mode", "list-counting-mode",
+            "no-mem-size", "bool-mem-size", "float-mem-size", "no-gc-traffic",
+            "int-gc-traffic"])
     def test_unreadable_input_exits_3_in_one_line(self, tmp_path, capsys, name,
                                                    text):
         path = write_file(tmp_path / name, text)
         assert main(["report", path, "--out", str(tmp_path / "ext.csv")]) == 3
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"wearsim: error: {path}: ")
+
+    # the run flags of the second summary, the field they change and its values
+    @pytest.mark.parametrize("flags, field, values", [
+        (["--count", "writes"], "counting_mode", '"accesses" vs "writes"'),
+        (["--mem-size", "40"], "mem_size_cells", "20 vs 40"),
+        (["--no-gc-traffic"], "count_gc_traffic", "true vs false"),
+    ], ids=["counting-mode", "mem-size", "gc-traffic"])
+    def test_unlike_summaries_are_refused(self, tmp_path, capsys, monkeypatch,
+                                          flags, field, values):
+        # an extension ratio between them would divide unlike counts
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
+        for name, extra in (("a.json", []), ("b.json", flags)):
+            assert main(["run", "--trace", "t.trace", "--mem-size", "20",
+                         "--policy", "golden", "--out", name, *extra]) == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["report", "a.json", "p.csv", "b.json", "--out", "ext.csv"]) == 3
+        assert capsys.readouterr() == (
+            "", f"wearsim: error: a.json and b.json differ in {field}: {values}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_unreadable_summary_writes_no_topn(self, tmp_path):
         percell = write_file(tmp_path / "p.csv", "address,reads,writes\n0,1,0\n")
@@ -702,7 +749,7 @@ class TestOneFilePerOutput:
         assert os.path.islink("link.json")
         assert os.listdir("d") == ["s.json"]
         with open("d/s.json") as f:
-            assert load_summary(f).max_cell == 2
+            assert load_summary(f)[0].max_cell == 2
 
     def test_fifo_output_is_written_in_place(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)

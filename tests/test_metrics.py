@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -291,10 +292,20 @@ class TestExport:
                 load_percell_csv(io.StringIO(f"address,reads,writes\n{rows}"))
 
     def test_summary_json_round_trip(self):
+        for mode, gc_traffic in ((CountingMode.ACCESSES, True),
+                                 (CountingMode.WRITES, False)):
+            report = replace(make_report([0, 3], [2, 4], mode),
+                             count_gc_traffic=gc_traffic)
+            sink = io.StringIO()
+            write_summary_json(report, sink)
+            stats, basis = load_summary(io.StringIO(sink.getvalue()))
+            assert stats == report.summary
+            assert basis == {"counting_mode": mode, "mem_size_cells": 2,
+                             "count_gc_traffic": gc_traffic}
+            assert type(basis["counting_mode"]) is CountingMode
         report = make_report([0, 3], [2, 4])
         sink = io.StringIO()
         write_summary_json(report, sink)
-        assert load_summary(io.StringIO(sink.getvalue())) == report.summary
         meta = json.loads(sink.getvalue())
         assert meta["policy"] == "golden"
         assert meta["mem_size_cells"] == 2
