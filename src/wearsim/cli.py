@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 usage error, an output naming an input or two
 outputs naming one file included, 3 unreadable or invalid trace / malformed
 report input, summaries that count different things included, 4 simulation
-error (e.g. out of memory).  A command writes nothing, but for `report`'s
-line on stderr for each pair it skips: it reads every input, computes every
-result and returns its outputs, which `main` alone writes, to stdout where
-no path is given.  The files replace their targets only once all are
-complete, so a write that fails leaves none of them.  A command that fails
-raises `_Exit`, which carries the code and the error lines; `main` alone
-prints those lines and returns the code.
+error (e.g. out of memory).  A command writes nothing, but for `compare`'s
+and `report`'s line on stderr for each extension pair they skip, its
+candidate statistic being zero: it reads every input, computes every result
+and returns its outputs, which `main` alone writes, to stdout where no path
+is given.  The files replace their targets only once all are complete, so a
+write that fails leaves none of them.  A command that fails raises `_Exit`,
+which carries the code and the error lines; `main` alone prints those lines
+and returns the code.
 
 Every number on the command line is an unsigned ASCII decimal, read by
 trace.parse_uint or, for a fraction, by policy.parse_fraction.
@@ -173,6 +174,19 @@ def _replay_each(args, policy_specs: list[str]) -> list:
     return reports
 
 
+def _extension_rows(pairs) -> list[tuple]:
+    """A (baseline, candidate, avg_extension, max_extension) row per pair of
+    (name, stats); a pair whose candidate statistic is zero goes to stderr."""
+    rows = []
+    for (base_name, base), (cand_name, cand) in pairs:
+        try:
+            rows.append((base_name, cand_name, *lifespan_extension(base, cand)))
+        except ValueError:
+            print(f"wearsim: skipping {base_name} vs {cand_name}: "
+                  "zero candidate statistic", file=sys.stderr)
+    return rows
+
+
 def _cmd_run(args) -> list:
     if args.topn_out is not None and args.topn is None:
         raise _Exit(EXIT_USAGE, "--topn-out needs --topn")
@@ -195,12 +209,9 @@ def _cmd_compare(args) -> list:
     reports = _replay_each(args, policy_specs)
     trace_name = os.path.basename(args.trace)
     rows = [compare_csv_row(trace_name, report) for report in reports]
-    baseline = reports[0].summary
-    try:
-        extensions = [(r.policy, *lifespan_extension(baseline, r.summary))
-                      for r in reports]
-    except ValueError as err:
-        raise _Exit(EXIT_SIMULATION, str(err)) from err
+    named = [(report.policy, report.summary) for report in reports]
+    extensions = [row[1:] for row in _extension_rows(
+        (named[0], candidate) for candidate in named)]
     return [("--out", args.out, partial(write_compare_csv, rows)),
             ("--extensions-out", args.extensions_out,
              partial(write_table, ("policy", "avg_extension", "max_extension"),
@@ -249,7 +260,7 @@ def _cmd_report(args) -> list:
                 label = stems[path] if stem_uses[stems[path]] == 1 else path
                 summaries.append((label, stats))
             else:
-                with open(path, newline="") as f:  # keeps no per-cell list
+                with open(path, newline="") as f:  # reads, writes: one per cell
                     counts = top_n_distribution(*load_percell_csv(f), mode, args.topn)
                 out_dir = args.out_dir or os.path.dirname(path) or "."
                 out_path = os.path.normpath(
@@ -257,13 +268,7 @@ def _cmd_report(args) -> list:
                 outputs.append((path, out_path, partial(write_topn_csv, counts)))
         except (OSError, ValueError, csv.Error) as err:
             raise _Exit(EXIT_BAD_TRACE, f"{path}: {err}") from err
-    rows = []
-    for (base_name, base), (cand_name, cand) in permutations(summaries, 2):
-        try:
-            rows.append((base_name, cand_name, *lifespan_extension(base, cand)))
-        except ValueError:
-            print(f"wearsim: skipping {base_name} vs {cand_name}: "
-                  "zero candidate statistic", file=sys.stderr)
+    rows = _extension_rows(permutations(summaries, 2))
     return [*outputs, ("--out", args.out, partial(
         write_table, ("baseline", "candidate", "avg_extension", "max_extension"),
         rows))]
@@ -278,13 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
                "report input, 4 simulation error.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_count_flag(p, text):
+        p.add_argument("--count", choices=[mode.value for mode in CountingMode],
+                       default=CountingMode.ACCESSES.value, help=text)
+
     def add_replay_flags(p):
         p.add_argument("--trace", required=True, help="trace file to replay")
         p.add_argument("--mem-size", type=parse_uint, default=None,
                        help="total memory in cells (even, >= 4); defaults to "
                             "the trace's #mem header")
-        p.add_argument("--count", choices=["accesses", "writes"],
-                       default="accesses", help="what the summary counts")
+        add_count_flag(p, "what the summary counts")
         p.add_argument("--no-gc-traffic", action="store_true",
                        help="do not count GC copy traffic as cell accesses")
 
@@ -316,16 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic trace")
     gen.add_argument("--pattern", required=True, choices=PATTERNS)
     gen.add_argument("--objects", type=parse_uint, default=100,
-                     help="object population (default 100)")
+                     help="object population (default %(default)s)")
     gen.add_argument("--ops", type=parse_uint, default=10000,
                      help="number of alloc/free/read/write events (default 10000)")
-    gen.add_argument("--mean-size", type=parse_uint, default=8,
-                     help="mean object size in cells (default 8)")
-    gen.add_argument("--hot-fraction", type=parse_fraction, default=0.1,
-                     help="hot share of the population, hotspot only (default 0.1)")
-    gen.add_argument("--gc-every", type=parse_uint, default=100,
-                     help="insert a G event every N ops (default 100)")
-    gen.add_argument("--seed", type=parse_uint, default=0)
+    gen.add_argument("--mean-size", type=parse_uint,
+                     default=WorkloadSpec.mean_object_size,
+                     help="mean object size in cells (default %(default)s)")
+    gen.add_argument("--hot-fraction", type=parse_fraction,
+                     default=WorkloadSpec.hot_fraction,
+                     help="hot share of the population, hotspot only "
+                          "(default %(default)s)")
+    gen.add_argument("--gc-every", type=parse_uint, default=WorkloadSpec.gc_every,
+                     help="insert a G event every N ops (default %(default)s)")
+    gen.add_argument("--seed", type=parse_uint, default=WorkloadSpec.seed)
     gen.add_argument("--out", required=True, help="trace file to write")
     gen.set_defaults(func=_cmd_gen)
 
@@ -334,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("inputs", nargs="+",
                         help=".json summaries and/or .csv percell files")
     report.add_argument("--topn", type=_topn, default=1000,
-                        help="ranks per percell input (default 1000)")
-    report.add_argument("--count", choices=["accesses", "writes"],
-                        default="accesses")
+                        help="ranks per percell input (default %(default)s)")
+    add_count_flag(report, "what percell inputs' top-N tables count; summaries "
+                           "carry their own counting_mode, and report refuses "
+                           "summaries whose modes differ")
     report.add_argument("--out", help="extension table path (default: stdout)")
     report.add_argument("--out-dir",
                         help="directory for topn-csv files (default: next to "

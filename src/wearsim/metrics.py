@@ -15,8 +15,8 @@ cost per run, not per cell; per-cell counts are runs of length 1.  The
 percell-csv export writes one row per cell all the same, but builds them
 per run and per block of 1000 addresses, whose rows differ only in their
 last three digits (in block 0, in the whole address): a C join of cached
-strings, not a str() per cell.  The top-N table keeps a heap of n counts,
-not a sorted copy of every cell's.
+strings, not a str() per cell.  The top-N table is heapq.nlargest's: a
+heap of n counts, not a sorted copy of every cell's.
 
 Report formats, each written to a text sink:
 
@@ -40,7 +40,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from heapq import heapify, heapreplace
+from heapq import nlargest
 from itertools import chain, compress, islice, repeat
 from operator import add, mul
 from typing import Iterable, Sequence, TextIO
@@ -124,19 +124,13 @@ def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
     """The n largest per-cell counts, descending; one per cell, so fewer
     than n when the memory has fewer cells.
 
-    A min-heap of the n largest counts so far is all it holds besides its
-    arguments: at most n ints, not a sorted copy of every cell's count.
+    heapq.nlargest keeps a heap of the n largest counts so far: besides its
+    arguments it holds at most n counts, not a sorted copy of every cell's.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    counts = iter(writes) if mode is CountingMode.WRITES else map(add, reads, writes)
-    top = list(islice(counts, n))
-    heapify(top)
-    for count in counts:
-        if count > top[0]:
-            heapreplace(top, count)
-    top.sort(reverse=True)
-    return top
+    return nlargest(n, writes if mode is CountingMode.WRITES
+                    else map(add, reads, writes))
 
 
 def lifespan_extension(baseline: SummaryStats,
@@ -145,7 +139,7 @@ def lifespan_extension(baseline: SummaryStats,
     as (avg_extension, max_extension)."""
     if candidate.avg_all_cells == 0 or candidate.max_cell == 0:
         raise ValueError(
-            "candidate has zero accesses; lifespan extension is undefined")
+            "candidate statistic is zero; lifespan extension is undefined")
     return (baseline.avg_all_cells / candidate.avg_all_cells,
             baseline.max_cell / candidate.max_cell)
 

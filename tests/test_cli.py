@@ -303,6 +303,13 @@ class TestGen:
         assert main(["run", "--trace", str(trace), "--policy", "golden",
                      "--out", str(out)]) == 0
 
+    def test_defaults_are_the_specs(self, tmp_path):
+        trace = tmp_path / "g.trace"
+        assert main(["gen", "--pattern", "hotspot", "--objects", "40",
+                     "--ops", "800", "--out", str(trace)]) == 0
+        assert trace.read_text() == format_trace(generate(
+            WorkloadSpec("hotspot", object_count=40, op_count=800)))
+
     def test_zero_ops_is_usage_error(self, tmp_path):
         assert main(["gen", "--pattern", "churn", "--ops", "0",
                      "--out", str(tmp_path / "x.trace")]) == 2
@@ -392,16 +399,59 @@ class TestCompare:
             "random:1,1.0,8.96923076923077\n"
             "single,3.0442619210586357,0.5578947368421052\n")
 
-    def test_undefined_extension_writes_no_output(self, tmp_path, capsys):
-        trace = write_file(tmp_path / "t.trace", "A 1 3\n")
+    def test_zero_candidate_pair_is_skipped(self, tmp_path, capsys):
+        # golden copies the object at the G; single leaves it in place at 0,
+        # so only single's statistic is zero and only its extension row goes
+        trace = write_file(tmp_path / "g.trace", "A 1 3\nG\n")
         out, ext = tmp_path / "cmp.csv", tmp_path / "ext.csv"
         assert main(["compare", "--trace", trace, "--mem-size", "20",
-                     "--policies", "none,golden", "--out", str(out),
-                     "--extensions-out", str(ext)]) == 4
+                     "--policies", "golden,single", "--out", str(out),
+                     "--extensions-out", str(ext)]) == 0
         assert capsys.readouterr().err == (
-            "wearsim: error: candidate has zero accesses; lifespan extension "
-            "is undefined\n")
-        assert not out.exists() and not ext.exists()
+            "wearsim: skipping golden vs single: zero candidate statistic\n")
+        assert out.read_text() == (
+            "trace,policy,avg_all,avg_touched,max,touched,gc_count\n"
+            "g.trace,golden,0.3,1.0,1,6,1\n"
+            "g.trace,single,0.0,0.0,0,0,1\n")
+        assert ext.read_text() == (
+            "policy,avg_extension,max_extension\ngolden,1.0,1.0\n")
+
+    @pytest.mark.parametrize("text, mem, policies", [
+        ("A 1 3\nG\n", 20, "golden,none,single"),
+        ("A 1 3\nG\n", 20, "single,golden,none"),
+        (format_trace(generate(WorkloadSpec("hotspot", 32, 6000, seed=4))), 2048,
+         "none,golden,fraction:0.3,single"),
+    ])
+    def test_extension_rows_match_report(self, tmp_path, capsys, text, mem,
+                                         policies):
+        # compare's rows are report's rows over run summaries of the same
+        # trace that take the first policy as the baseline, skips included
+        trace = write_file(tmp_path / "t.trace", text)
+        ext = tmp_path / "ext.csv"
+        assert main(["compare", "--trace", trace, "--mem-size", str(mem),
+                     "--policies", policies, "--out", str(tmp_path / "cmp.csv"),
+                     "--extensions-out", str(ext)]) == 0
+        compare_err = capsys.readouterr().err
+        summaries = []
+        for policy in policies.split(","):
+            summaries.append(str(tmp_path / f"{policy}.json"))
+            assert main(["run", "--trace", trace, "--mem-size", str(mem),
+                         "--policy", policy, "--out", summaries[-1]]) == 0
+        table = tmp_path / "report.csv"
+        assert main(["report", *summaries, "--out", str(table)]) == 0
+        report_err = capsys.readouterr().err
+        baseline = policies.split(",")[0]
+        with open(table) as f:
+            report_rows = [row[1:] for row in csv.reader(f) if row[0] == baseline]
+        with open(ext) as f:
+            compare_rows = [row for row in csv.reader(f)
+                            if row[0] not in ("policy", baseline)]
+        assert compare_rows == report_rows
+        skip = f"wearsim: skipping {baseline} vs "
+        assert ([line for line in compare_err.splitlines()
+                 if line != skip + f"{baseline}: zero candidate statistic"]
+                == [line for line in report_err.splitlines()
+                    if line.startswith(skip)])
 
     def test_object_too_large_writes_no_output(self, tmp_path, capsys):
         trace = write_file(tmp_path / "t.trace", "A 1 11\n")

@@ -179,7 +179,7 @@ class TestLifespanExtension:
     def test_zero_candidate_rejected(self):
         good = stats_from([4])
         zero = stats_from([0])
-        with pytest.raises(ValueError, match="^candidate has zero accesses; "
+        with pytest.raises(ValueError, match="^candidate statistic is zero; "
                            "lifespan extension is undefined$"):
             lifespan_extension(good, zero)
 
