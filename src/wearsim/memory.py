@@ -13,14 +13,19 @@ kind: "R" for reads, "W" for writes.  Recording a range costs two O(1)
 updates, four when it wraps the seam, whatever its length.  A cell's
 count is the prefix sum of that array up to the cell.  The counts are
 read only as runs of equal (reads, writes): a run starts wherever either
-array is nonzero, so the cost of finding the runs is one scan in C, and
-everything after it grows with the number of runs, not of cells.
+array is nonzero.  Finding the runs costs one C slice comparison per block
+of `SCAN_BLOCK` cells, and a per-cell scan only of the blocks that hold a
+nonzero delta; everything after that grows with the number of runs, not
+of cells.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress, islice
 from operator import or_, sub
+
+SCAN_BLOCK = 1024  # cells per block that `runs` skips when all its deltas are 0
+_ZERO_BLOCK = [0] * SCAN_BLOCK
 
 
 class CellCounters:
@@ -72,10 +77,20 @@ class CellCounters:
         their cells.  A run starts at cell 0 and wherever either difference
         array is nonzero, which is where the pair changes, so adjacent runs
         differ; its counts are the running sum of the deltas at the starts.
+        The arrays are read in blocks of `SCAN_BLOCK` cells: a block whose
+        deltas are all zero costs one slice comparison per kind, and only
+        the others are scanned cell by cell.
         """
         size = self.size_cells
         reads, writes = self._deltas["R"], self._deltas["W"]
-        starts = list(compress(range(size), map(or_, reads, writes)))
+        starts = []
+        for lo in range(0, size, SCAN_BLOCK):
+            # the entry at `size` starts no run; a short last block never
+            # equals the zero block, so it is always scanned
+            hi = min(lo + SCAN_BLOCK, size)
+            r, w = reads[lo:hi], writes[lo:hi]
+            if r != _ZERO_BLOCK or w != _ZERO_BLOCK:
+                starts.extend(compress(range(lo, hi), map(or_, r, w)))
         if not starts or starts[0]:
             starts.insert(0, 0)
         lengths = list(map(sub, [*islice(starts, 1, None), size], starts))

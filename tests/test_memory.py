@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wearsim.memory import CellCounters
+from wearsim.memory import SCAN_BLOCK, CellCounters
 
 
 def expand(lengths, values):
@@ -144,3 +144,38 @@ class TestRecordRange:
         assert (sum(model["R"]) + sum(model["W"])
                 == sum(length for _, length, _ in calls))
 
+
+@st.composite
+def block_scale_cases(draw):
+    """A ring of 1-5 scan blocks and a few ranges, most blocks left untouched.
+
+    Sizes include one block less one cell, one block, one block plus one
+    cell and exact multiples.  Each range is drawn as its first and its last
+    cell, either of them biased to a block's bounds and to the ring's last
+    cell, so the deltas land on both sides of every block edge and on the
+    extra entry past the ring; a last cell before the first wraps the seam.
+    """
+    size = draw(st.one_of(
+        st.sampled_from([SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+                         2 * SCAN_BLOCK, 3 * SCAN_BLOCK - 1, 5 * SCAN_BLOCK]),
+        st.integers(1, 5 * SCAN_BLOCK)))
+    edges = {size - 1}
+    for lo in range(0, size + 1, SCAN_BLOCK):
+        edges.update(c for c in range(lo - 2, lo + 2) if 0 <= c < size)
+    cell = st.one_of(st.sampled_from(sorted(edges)), st.integers(0, size - 1))
+    ranges = draw(st.lists(st.tuples(cell, cell, st.sampled_from("RW")), max_size=4))
+    return size, [(first, (last - first) % size + 1, kind)
+                  for first, last, kind in ranges]
+
+
+@settings(deadline=None)
+@given(block_scale_cases())
+def test_runs_across_scan_blocks(case):
+    size, calls = case
+    ring = CellCounters(size)
+    model = {"R": [0] * size, "W": [0] * size}
+    for base, length, kind in calls:
+        ring.record_range(base, length, kind)
+        for i in range(length):
+            model[kind][(base + i) % size] += 1
+    assert_runs_match(ring, model)

@@ -106,7 +106,8 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
 
 
 @pytest.mark.parametrize("policy", ["golden", "single"])
-@pytest.mark.parametrize("pattern, mem", [("loop", 2 ** 21), ("hotspot", 2 ** 20)])
+@pytest.mark.parametrize("pattern, mem", [("loop", 2 ** 21), ("hotspot", 2 ** 20),
+                                          ("loop", 2 ** 20 + 2)])
 def test_runs_match_reference_in_large_memory(pattern, mem, policy):
     trace = generate(WorkloadSpec(pattern=pattern, object_count=6, op_count=300,
                                   mean_object_size=16, gc_every=25, seed=7))
