@@ -24,8 +24,10 @@ Wear accounting: application reads and writes touch exactly the cells
 they name.  When GC traffic is counted, every relocated cell costs one
 read at its source and one write at its destination; an object that
 already sits at its destination costs nothing, which only happens in a
-single space.  Allocation, freeing, and the post-collection clean of the
-old work space touch no cells at all.
+single space.  A collection records one write range, from the first
+object that moves to the end of the compacted block, and one read range
+per run of adjacent source objects.  Allocation, freeing, and the
+post-collection clean of the old work space touch no cells at all.
 """
 
 from __future__ import annotations
@@ -117,20 +119,37 @@ class Engine:
             (record.base_cell + offset) % self.capacity, length, kind)
 
     def handle_gc(self) -> None:
+        """Compact the live set into the next space from the policy's start,
+        recording one write range and one read range per run of adjacent
+        source objects (see "Wear accounting" above)."""
         live = sorted(self.objects.values(), key=lambda r: r.base_cell)
-        count_traffic = self.config.count_gc_traffic
         source = self.work_ring
         target = (source + 1) % len(self.spaces)
-        self.start = self.policy_state.take(target)
-        dest = self.start
-        for record in live:
-            if (source, record.base_cell) != (target, dest):
-                if count_traffic:
-                    self.spaces[source].record_range(
-                        record.base_cell, record.size_cells, "R")
-                    self.spaces[target].record_range(dest, record.size_cells, "W")
-                record.base_cell = dest
-            dest = (dest + record.size_cells) % self.capacity
+        self.start = dest = self.policy_state.take(target)
+        first = 0
+        if source == target:
+            # a single space: the start is 0 and no object wraps the seam;
+            # objects stay up to the first that moves, and all later ones move
+            while first < len(live) and live[first].base_cell == dest:
+                dest += live[first].size_cells
+                first += 1
+        write_base = dest
+        runs: list[list[int]] = []  # [base, cells] of each run of adjacent sources
+        end = None  # just past the last run, unwrapped: no later base is past the seam
+        for record in live[first:]:
+            base, size = record.base_cell, record.size_cells
+            if base == end:
+                runs[-1][1] += size
+            else:
+                runs.append([base, size])
+            end = base + size
+            record.base_cell = dest
+            dest = (dest + size) % self.capacity
+        if self.config.count_gc_traffic and runs:
+            for base, cells in runs:
+                self.spaces[source].record_range(base, cells, "R")
+            self.spaces[target].record_range(
+                write_base, sum(cells for _, cells in runs), "W")
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
         self.used = sum(r.size_cells for r in live)

@@ -18,9 +18,12 @@ Wire format (UTF-8 text, LF line endings)::
     G                      garbage-collection trigger
 
 Fields are unsigned ASCII decimals separated by single spaces, read by
-parse_uint as is every integer wearsim reads.  parse_trace reads the
-format from a ``str`` and format_trace renders it to one; callers do
-their own file I/O and decoding.
+parse_uint as is every integer wearsim reads.  `_EVENT_LINE` is the one
+statement of an event line's grammar: a line that matches it is an event
+as it stands, and parse_trace words the fault of any other line that is
+neither blank nor a comment.  parse_trace reads the format from a ``str``
+and format_trace renders it to one; callers do their own file I/O and
+decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
@@ -31,6 +34,7 @@ or is a hand-built tuple that no line could produce.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 FORMAT_VERSION = 1
@@ -54,6 +58,11 @@ class Trace:
 
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
 _LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
+
+#: A well-formed event line, CR included if the text has CRLF endings:
+#: ASCII digits, single spaces, and a size or length of at least 1.
+_EVENT_LINE = re.compile(r"(?:G|F \d+|A \d+ 0*[1-9]\d*|[RW] \d+ \d+ 0*[1-9]\d*)\r?",
+                        re.ASCII)
 
 #: The noun that validate_trace messages use for each access opcode.
 ACCESS_NOUNS = {"R": "read", "W": "write"}
@@ -97,11 +106,26 @@ def parse_trace(text: str) -> Trace:
     """
     events: list[TraceEvent] = []
     suggested: int | None = None
+    match = _EVENT_LINE.fullmatch
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw  # tolerate CRLF input
-        if not line.strip():
-            continue
         try:
+            if match(raw):
+                # int() still refuses a field past its digit limit
+                fields = raw.split()
+                arity = len(fields)
+                if arity == 4:
+                    events.append((fields[0], int(fields[1]), int(fields[2]),
+                                   int(fields[3])))
+                elif arity == 3:
+                    events.append((fields[0], int(fields[1]), int(fields[2])))
+                elif arity == 2:
+                    events.append((fields[0], int(fields[1])))
+                else:
+                    events.append((fields[0],))
+                continue
+            line = raw[:-1] if raw.endswith("\r") else raw  # tolerate CRLF input
+            if not line.strip():
+                continue
             if not line.startswith("#"):
                 events.append(_parse_event(line))
             elif line_no == 1 and line.startswith("#!"):
@@ -138,35 +162,54 @@ def validate_trace(trace: Trace) -> list[str]:
     Order-sensitive and deterministic.  A violating event does not
     change the tracked live set, so later events are judged as if the
     offender had been dropped.  A malformed event is judged by no other
-    rule.
+    rule: each opcode's branch checks the event's shape inline, and
+    `_malformation` words what is wrong with one that fails.
     """
     errors: list[str] = []
     live: dict[int, int] = {}
     for index, event in enumerate(trace.events):
-        problem = _malformation(event)
-        if problem is not None:
-            errors.append(f"event {index}: {problem}")
-            continue
-        opcode = event[0]
-        if opcode == "A":
-            if event[1] in live:
-                errors.append(f"event {index}: alloc of live object {event[1]}")
-            else:
-                live[event[1]] = event[2]
+        # None unless the event is a tuple whose first field is a str
+        opcode = (event[0] if type(event) is tuple and event and type(event[0]) is str
+                  else None)
+        if opcode == "R" or opcode == "W":
+            if len(event) == 4:
+                _, object_id, offset, length = event
+                if (type(object_id) is int and type(offset) is int
+                        and type(length) is int
+                        and object_id >= 0 and offset >= 0 and length >= 1):
+                    size = live.get(object_id)
+                    if size is None:
+                        errors.append(f"event {index}: {ACCESS_NOUNS[opcode]} of "
+                                      f"dead object {object_id}")
+                    elif offset + length > size:
+                        errors.append(
+                            f"event {index}: {ACCESS_NOUNS[opcode]} of {length} "
+                            f"cells at offset {offset} exceeds size {size} of "
+                            f"object {object_id}")
+                    continue
+        elif opcode == "A":
+            if len(event) == 3:
+                _, object_id, size = event
+                if (type(object_id) is int and type(size) is int
+                        and object_id >= 0 and size >= 1):
+                    if object_id in live:
+                        errors.append(
+                            f"event {index}: alloc of live object {object_id}")
+                    else:
+                        live[object_id] = size
+                    continue
         elif opcode == "F":
-            if event[1] not in live:
-                errors.append(f"event {index}: free of dead object {event[1]}")
-            else:
-                del live[event[1]]
-        elif opcode != "G":
-            _, object_id, offset, length = event
-            kind = ACCESS_NOUNS[opcode]
-            size = live.get(object_id)
-            if size is None:
-                errors.append(f"event {index}: {kind} of dead object {object_id}")
-            elif offset + length > size:
-                errors.append(f"event {index}: {kind} of {length} cells at offset "
-                              f"{offset} exceeds size {size} of object {object_id}")
+            if len(event) == 2:
+                object_id = event[1]
+                if type(object_id) is int and object_id >= 0:
+                    if object_id in live:
+                        del live[object_id]
+                    else:
+                        errors.append(f"event {index}: free of dead object {object_id}")
+                    continue
+        elif opcode == "G" and len(event) == 1:
+            continue
+        errors.append(f"event {index}: {_malformation(event)}")
     return errors
 
 

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invariants import assert_disjoint_live, assert_post_gc_invariants
+from reference_replayer import reference_replay
 from test_memory import cell_counts
-from test_oracle import mem_divisors, specs
+from test_oracle import assert_same_counts, mem_divisors, specs
 from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig, SimulationError,
                             replay)
+from wearsim.memory import CellCounters
 from wearsim.metrics import CountingMode
 from wearsim.policy import Policy, parse_policy
 from wearsim.trace import Trace
@@ -196,6 +198,118 @@ class TestGc:
         report = replay(trace, config)
         assert sum(report.per_cell_writes) == 6
         assert sum(report.per_cell_reads) == 0
+
+
+def watch_gc_calls(monkeypatch) -> list[list[tuple]]:
+    """Each later collection's record_range calls, as (space, base, cells, kind).
+
+    The wrappers sit on the classes, as a profiler's would.
+    """
+    calls: list[list[tuple]] = []
+    collecting: list[Engine] = []  # the engine inside handle_gc, if any
+    inner_gc, inner_record = Engine.handle_gc, CellCounters.record_range
+
+    def handle_gc(engine):
+        calls.append([])
+        collecting.append(engine)
+        try:
+            inner_gc(engine)
+        finally:
+            collecting.pop()
+
+    def record_range(space, base, cells, kind):
+        if collecting:
+            calls[-1].append((collecting[-1].spaces.index(space), base, cells, kind))
+        inner_record(space, base, cells, kind)
+
+    monkeypatch.setattr(Engine, "handle_gc", handle_gc)
+    monkeypatch.setattr(CellCounters, "record_range", record_range)
+    return calls
+
+
+class TestGcRanges:
+    """A collection records one write range and one read range per run of
+    adjacent source objects; each trace is checked cell for cell against
+    the reference replayer, which records every object on its own."""
+
+    # golden, mem 20: rings of 10 cells, and each ring's starts go 0, 3, 6.
+    # At the fifth collection ring 0 holds 1 at 3-6, 2 at 7-8 and 3 at 9-1,
+    # one run across the seam, and ring 1 takes them from 6, across it too.
+    # At the sixth, ring 1 holds 2 at 0-1, 3 at 2-4 and 1 at 6-9: 1 ends at
+    # the seam where 2 begins, but the copy goes in ascending base order,
+    # so 1 is a run of its own.
+    SEAM = [("A", 1, 4), ("G",), ("G",), ("G",), ("G",), ("A", 2, 2), ("A", 3, 3),
+            ("W", 3, 0, 3), ("G",), ("W", 1, 3, 1), ("G",)]
+    SEAM_CALLS = [[(0, 0, 4, "R"), (1, 0, 4, "W")],
+                  [(1, 0, 4, "R"), (0, 0, 4, "W")],
+                  [(0, 0, 4, "R"), (1, 3, 4, "W")],
+                  [(1, 3, 4, "R"), (0, 3, 4, "W")],
+                  [(0, 3, 9, "R"), (1, 6, 9, "W")],
+                  [(1, 0, 5, "R"), (1, 6, 4, "R"), (0, 6, 9, "W")]]
+    # single, mem 20: 1 stays at 0, and 3 and 4 slide down as one run
+    TAIL = [("A", 1, 3), ("A", 2, 2), ("A", 3, 3), ("A", 4, 2), ("W", 3, 0, 3),
+            ("W", 4, 1, 1), ("F", 2), ("G",), ("W", 4, 0, 2)]
+    TAIL_CALLS = [[(0, 5, 5, "R"), (0, 3, 5, "W")]]
+    # golden, mem 20: at the fourth collection ring 1 is full (3 at 0-2,
+    # 1 at 3-6, 2 at 7-9), so both ranges are the whole ring
+    FULL = [("A", 1, 4), ("G",), ("G",), ("G",), ("A", 2, 3), ("A", 3, 3),
+            ("W", 2, 0, 3), ("G",)]
+    FULL_CALLS = [[(0, 0, 4, "R"), (1, 0, 4, "W")],
+                  [(1, 0, 4, "R"), (0, 0, 4, "W")],
+                  [(0, 0, 4, "R"), (1, 3, 4, "W")],
+                  [(1, 0, 10, "R"), (0, 3, 10, "W")]]
+
+    @pytest.mark.parametrize("count_gc_traffic", [True, False])
+    @pytest.mark.parametrize("events, policy, expected", [
+        pytest.param(SEAM, "golden", SEAM_CALLS, id="seam"),
+        pytest.param(TAIL, "single", TAIL_CALLS, id="tail"),
+        pytest.param(FULL, "golden", FULL_CALLS, id="full")])
+    def test_ranges(self, monkeypatch, events, policy, expected, count_gc_traffic):
+        calls = watch_gc_calls(monkeypatch)
+        config = EngineConfig(20, parse_policy(policy), count_gc_traffic)
+        report = replay(Trace(events), config)
+        assert_same_counts(report, reference_replay(Trace(events), 20, policy,
+                                                    count_gc_traffic))
+        assert calls == (expected if count_gc_traffic else [[]] * len(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=specs, mem_divisor=mem_divisors,
+           policy=st.sampled_from(["golden", "quarter", "none", "single"]))
+    def test_one_write_and_one_read_per_run(self, spec, mem_divisor, policy):
+        trace = generate(spec)
+        mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
+        engine = Engine(EngineConfig(mem, parse_policy(policy)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = watch_gc_calls(monkeypatch)
+            for event in trace.events:
+                before = {object_id: (r.base_cell, r.size_cells)
+                          for object_id, r in engine.objects.items()}
+                source, gc_count = engine.work_ring, engine.gc_count
+                try:
+                    engine.process(event)
+                except SimulationError:
+                    return
+                if engine.gc_count == gc_count:
+                    continue
+                # an object moves unless it keeps its space and its base; an
+                # allocation that forced the collection comes after it
+                after = {object_id: engine.objects[object_id].base_cell
+                         for object_id in before}
+                moved = sorted(
+                    (base, size, after[object_id])
+                    for object_id, (base, size) in before.items()
+                    if (engine.work_ring, after[object_id]) != (source, base))
+                runs = []
+                for base, size, _ in moved:
+                    if runs and sum(runs[-1][1:]) == base:
+                        runs[-1][2] += size
+                    else:
+                        runs.append([source, base, size])
+                expected = [(*run, "R") for run in runs]
+                if moved:
+                    expected.append((engine.work_ring, moved[0][2],
+                                     sum(size for _, size, _ in moved), "W"))
+                assert calls[-1] == expected
 
 
 class TestSingleSpace:

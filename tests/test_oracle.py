@@ -8,7 +8,8 @@ The generator never reuses an id, so a drawn flag relabels each
 allocation to the smallest id not live at that point, which brings freed
 ids back, often before the next collection.
 A few traces with few objects also run in memories of 2^20 and 2^21
-cells, where the engine's report is a handful of long runs.
+cells, where the engine's report is a handful of long runs, and one
+hand-built trace changes the counts in each space's partial last block.
 """
 
 import re
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_replayer import bisected_golden_shift, reference_replay
 from wearsim.engine import EngineConfig, SimulationError, replay
+from wearsim.memory import SCAN_BLOCK
 from wearsim.metrics import summarize
 from wearsim.policy import golden_shift, parse_policy
 from wearsim.trace import Trace
@@ -105,18 +107,46 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
     assert_same_counts(report, reference(trace.events))
 
 
-@pytest.mark.parametrize("policy", ["golden", "single"])
-@pytest.mark.parametrize("pattern, mem", [("loop", 2 ** 21), ("hotspot", 2 ** 20),
-                                          ("loop", 2 ** 20 + 2)])
-def test_runs_match_reference_in_large_memory(pattern, mem, policy):
-    trace = generate(WorkloadSpec(pattern=pattern, object_count=6, op_count=300,
-                                  mean_object_size=16, gc_every=25, seed=7))
+def assert_large_memory_runs(trace, mem, policy):
     report = replay(trace, EngineConfig(mem, parse_policy(policy),
                                         count_gc_traffic=True))
     reference = reference_replay(trace, mem, policy, count_gc_traffic=True)
     assert_same_counts(report, reference)
     assert report.summary == summarize([1] * mem, reference.reads, reference.writes)
     assert len(report.run_lengths) < 1000  # the report is runs, not cells
+    return reference
+
+
+@pytest.mark.parametrize("policy", ["golden", "single"])
+@pytest.mark.parametrize("pattern, mem", [("loop", 2 ** 21), ("hotspot", 2 ** 20)])
+def test_runs_match_reference_in_large_memory(pattern, mem, policy):
+    trace = generate(WorkloadSpec(pattern=pattern, object_count=6, op_count=300,
+                                  mean_object_size=16, gc_every=25, seed=7))
+    assert_large_memory_runs(trace, mem, policy)
+
+
+@pytest.mark.parametrize("policy", ["golden", "single"])
+def test_runs_match_reference_at_the_last_block(policy):
+    """Changes in each space's partial last block of `SCAN_BLOCK` cells.
+
+    In 2^20 + 2 cells, golden's rings end in a block of one cell and the
+    single space in one of two.  A filler allocated and freed untouched
+    puts a 3-cell object on the work space's last cells; a write to its
+    middle cell and the collection that copies it away change the counts
+    there, and a second round does the same in the next work space.
+    """
+    mem = 2 ** 20 + 2
+    capacity = mem if policy == "single" else mem // 2
+    events = []
+    for filler, object_id, used in ((1, 2, 0), (3, 4, 3)):
+        events += [("A", filler, capacity - used - 3), ("A", object_id, 3),
+                   ("W", object_id, 1, 1), ("F", filler), ("G",)]
+    reference = assert_large_memory_runs(Trace(events), mem, policy)
+    counts = list(zip(reference.reads, reference.writes))
+    for space in range(0, mem, capacity):
+        last_block = space + capacity // SCAN_BLOCK * SCAN_BLOCK
+        assert any(counts[cell] != counts[cell - 1]
+                   for cell in range(last_block, space + capacity))
 
 
 @given(st.integers(min_value=2, max_value=2**64))

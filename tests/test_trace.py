@@ -1,8 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from reference_trace import reference_parse_trace, reference_validate_trace
+from test_oracle import reuse_ids, specs
 from wearsim.trace import (Trace, TraceHeader, format_trace, parse_trace,
                            parse_uint, validate_trace)
+from wearsim.workload import generate
 
 uints = st.integers(min_value=0, max_value=10**9)
 sizes = st.integers(min_value=1, max_value=10**6)
@@ -208,3 +211,102 @@ class TestWrite:
     @given(traces)
     def test_round_trip(self, trace):
         assert parse_trace(format_trace(trace)) == trace
+
+
+#: Fields each line opener takes, so that most drawn lines are well formed.
+LINE_FIELDS = {"A": 2, "F": 1, "R": 3, "W": 3, "G": 0, "X": 1, "#mem": 1, "#": 2,
+               "": 0}
+
+
+@st.composite
+def trace_lines(draw):
+    """One line from the format's alphabet and just past it.
+
+    Most lines are events with the right field count, single spaces and
+    ASCII numbers, zero included; the rest have one field too many or too
+    few, a double space or a CR, fields that mix ASCII digits with digits
+    that str.isdigit() or int() take but the format refuses, signs and
+    underscores, or now and then a number past int()'s digit limit.
+    """
+    opener = draw(st.sampled_from(["A", "A", "F", "R", "R", "W", "W", "G",
+                                   "X", "#mem", "#", ""]))
+    arity = LINE_FIELDS[opener]
+    count = draw(st.sampled_from([arity] * 8 + [arity + 1, max(0, arity - 1)]))
+    line = opener
+    for _ in range(count):
+        line += draw(st.sampled_from([" "] * 8 + ["  ", "\r "]))
+        kind = draw(st.sampled_from(["number"] * 14 + ["odd"] * 5 + ["huge"]))
+        if kind == "number":
+            line += str(draw(st.integers(0, 12)))
+        elif kind == "odd":
+            line += draw(st.text(st.one_of(st.sampled_from("0123456789"),
+                                           st.sampled_from("\u0663\uff11\u00b2_+-")),
+                                 min_size=1, max_size=3))
+        else:
+            line += "7" * draw(st.integers(4301, 4400))
+    return line + draw(st.sampled_from(["", "", "", "\r", "\r\r"]))
+
+
+class Opcode(str):
+    """Equal to an opcode, but not of type str, as every parsed opcode is."""
+
+
+#: Well-formed events with few ids, so that they meet the live set.
+small_events = st.one_of(
+    st.tuples(st.just("A"), st.integers(0, 12), st.integers(1, 20)),
+    st.tuples(st.just("F"), st.integers(0, 12)),
+    st.tuples(st.sampled_from("RW"), st.integers(0, 12), st.integers(0, 20),
+              st.integers(1, 20)),
+    st.just(("G",)),
+)
+
+
+@st.composite
+def hand_built_events(draw):
+    """An event no line could produce, or now and then a well-formed one."""
+    event = draw(small_events)
+    how = draw(st.sampled_from(["list", "opcode", "str-subclass", "field", "arity",
+                                "last-zero", "as-drawn"]))
+    if how == "list":
+        return list(event)
+    if how == "opcode":
+        return (draw(st.sampled_from([None, 65, b"A", ("A",)])), *event[1:])
+    if how == "str-subclass":
+        return (Opcode(event[0]), *event[1:])
+    if how == "field" and len(event) > 1:
+        i = draw(st.integers(1, len(event) - 1))
+        value = draw(st.sampled_from([True, False, 1.0, -1, "1"]))
+        return (*event[:i], value, *event[i + 1:])
+    if how == "arity":
+        return (*event, 1) if draw(st.booleans()) else event[:-1]
+    if how == "last-zero" and len(event) > 2:
+        return (*event[:-1], 0)
+    return event
+
+
+class TestAgainstReference:
+    """The grammar-gated reader and the per-opcode validator against the
+    per-line reader and the generic validator they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(trace_lines(), max_size=8).map("\n".join))
+    def test_parse_matches_reference(self, text):
+        try:
+            expected = reference_parse_trace(text)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                parse_trace(text)
+            assert str(raised.value) == str(err)
+        else:
+            assert parse_trace(text) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs, reuse=st.booleans(),
+           inserts=st.lists(st.tuples(st.integers(0, 10 ** 6), hand_built_events()),
+                            max_size=12))
+    def test_validate_matches_reference(self, spec, reuse, inserts):
+        trace = reuse_ids(generate(spec)) if reuse else generate(spec)
+        events = list(trace.events)
+        for position, event in inserts:
+            events.insert(position % (len(events) + 1), event)
+        assert validate_trace(Trace(events)) == reference_validate_trace(Trace(events))
