@@ -48,6 +48,16 @@ class _Exit(Exception):
     """Ends a command; its args are the nonzero exit code, then the error lines."""
 
 
+_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7f, 0xa0))}
+
+
+def _say(line: str) -> None:
+    """Print a line to stderr.  It may quote an input, a trace field's CR or a
+    file name's, so each control character is printed as its escape: a CR as
+    the two characters \\ and r."""
+    print(line.translate(_CONTROL_ESCAPES), file=sys.stderr)
+
+
 def _topn(text: str) -> int:
     n = parse_uint(text)  # no memory has more cells to rank than MAX_MEM_CELLS
     if not 1 <= n <= MAX_MEM_CELLS:
@@ -182,8 +192,8 @@ def _extension_rows(pairs) -> list[tuple]:
         try:
             rows.append((base_name, cand_name, *lifespan_extension(base, cand)))
         except ValueError:
-            print(f"wearsim: skipping {base_name} vs {cand_name}: "
-                  "zero candidate statistic", file=sys.stderr)
+            _say(f"wearsim: skipping {base_name} vs {cand_name}: "
+                 "zero candidate statistic")
     return rows
 
 
@@ -260,7 +270,7 @@ def _cmd_report(args) -> list:
                 label = stems[path] if stem_uses[stems[path]] == 1 else path
                 summaries.append((label, stats))
             else:
-                with open(path, newline="") as f:  # reads, writes: one per cell
+                with open(path, newline="") as f:  # reads, writes: runs of cells
                     counts = top_n_distribution(*load_percell_csv(f), mode, args.topn)
                 out_dir = args.out_dir or os.path.dirname(path) or "."
                 out_path = os.path.normpath(
@@ -366,7 +376,7 @@ def main(argv=None) -> int:
     except _Exit as exit_:
         code, *lines = exit_.args
         for line in lines:
-            print(f"wearsim: error: {line}", file=sys.stderr)
+            _say(f"wearsim: error: {line}")
         return code
     return EXIT_OK
 

@@ -11,12 +11,15 @@ limit, so halving the peak count doubles the time to first cell death.
 A report holds its counts as runs of cells with equal reads and writes.
 Wear at the memory sizes a leveling study needs is a step function, so a
 report of millions of cells has a few hundred runs, and the statistics
-cost per run, not per cell; per-cell counts are runs of length 1.  The
-percell-csv export writes one row per cell all the same, but builds them
-per run and per block of 1000 addresses, whose rows differ only in their
-last three digits (in block 0, in the whole address): a C join of cached
-strings, not a str() per cell.  The top-N table is heapq.nlargest's: a
-heap of n counts, not a sorted copy of every cell's.
+cost per run, not per cell; per-cell counts are runs of length 1.  Its
+per-cell reads and writes are CellRuns, read-only views that iterate the
+runs cell by cell and hold no per-cell list.  The top-N table is
+heapq.nlargest over (count, length) runs: of a report's views it costs
+O(runs), however many cells they span.  The percell-csv export writes one
+row per cell all the same, but builds them per run and per block of 1000
+addresses, whose rows differ only in their last three digits (in block 0,
+in the whole address): a C join of cached strings, not a str() per cell;
+load_percell_csv folds adjacent rows of like counts back into runs.
 
 Report formats, each written to a text sink:
 
@@ -29,8 +32,8 @@ Report formats, each written to a text sink:
 
 write_table writes every CSV table but percell-csv.  Of a text stream,
 load_summary reads back a summary-json's SummaryStats and what they count,
-and load_percell_csv a percell-csv's (reads, writes); lifespan_extension
-returns a pair.
+and load_percell_csv a percell-csv's (reads, writes) as CellRuns;
+lifespan_extension returns a pair.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from heapq import nlargest
 from itertools import chain, compress, islice, repeat
-from operator import add, mul
-from typing import Iterable, Sequence, TextIO
+from operator import add, eq, mul
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from wearsim.trace import parse_uint
 
@@ -81,18 +84,44 @@ class WearReport:
     run_writes: list[int]
     summary: SummaryStats
 
-    # Built afresh on each read, so a report holds only its runs.
+    # Views over the runs, sharing run_lengths, so a report holds only its
+    # runs and top_n_distribution reads them as runs.
     @property
-    def per_cell_reads(self) -> list[int]:
-        return _expand(self.run_lengths, self.run_reads)
+    def per_cell_reads(self) -> CellRuns:
+        return CellRuns(self.run_lengths, self.run_reads)
 
     @property
-    def per_cell_writes(self) -> list[int]:
-        return _expand(self.run_lengths, self.run_writes)
+    def per_cell_writes(self) -> CellRuns:
+        return CellRuns(self.run_lengths, self.run_writes)
 
 
-def _expand(lengths: Sequence[int], values: Sequence[int]) -> list[int]:
-    return list(chain.from_iterable(map(repeat, values, lengths)))
+class CellRuns:
+    """Per-cell counts held as runs: `lengths[i]` cells of count `values[i]`.
+
+    A read-only sequence of len() cells that iterates them in address
+    order without building a list, and equals any sequence of the same
+    counts, a plain list included.
+    """
+
+    __slots__ = ("lengths", "values")
+
+    def __init__(self, lengths: Sequence[int], values: Sequence[int]):
+        self.lengths = lengths
+        self.values = values
+
+    def __len__(self) -> int:
+        return sum(self.lengths)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(map(repeat, self.values, self.lengths))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Sequence, CellRuns)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"CellRuns({self.lengths!r}, {self.values!r})"
 
 
 def summarize(lengths: Sequence[int], reads: Sequence[int], writes: Sequence[int],
@@ -124,13 +153,24 @@ def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
     """The n largest per-cell counts, descending; one per cell, so fewer
     than n when the memory has fewer cells.
 
-    heapq.nlargest keeps a heap of the n largest counts so far: besides its
-    arguments it holds at most n counts, not a sorted copy of every cell's.
+    heapq.nlargest picks the n largest (count, length) runs, which cover at
+    least n cells, and each count is emitted once per cell of its run until
+    n are out.  Two CellRuns over one lengths list, as a WearReport and
+    load_percell_csv give, are read as their runs, so the cost is O(runs);
+    any other pair of sequences is read as runs of one cell each.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return nlargest(n, writes if mode is CountingMode.WRITES
-                    else map(add, reads, writes))
+    if (type(reads) is type(writes) is CellRuns
+            and reads.lengths is writes.lengths):
+        lengths, reads, writes = writes.lengths, reads.values, writes.values
+    else:
+        lengths = repeat(1)
+    counts = writes if mode is CountingMode.WRITES else map(add, reads, writes)
+    top: list[int] = []
+    for count, length in nlargest(n, zip(counts, lengths)):
+        top += repeat(count, min(length, n - len(top)))
+    return top
 
 
 def lifespan_extension(baseline: SummaryStats,
@@ -236,27 +276,38 @@ def write_percell_csv(report: WearReport, sink) -> None:
         sink.write("".join(pieces))
 
 
-def load_percell_csv(source: TextIO) -> tuple[list[int], list[int]]:
-    """Read back a percell-csv text stream; returns (reads, writes).
+def load_percell_csv(source: TextIO) -> tuple[CellRuns, CellRuns]:
+    """Read back a percell-csv text stream; returns (reads, writes), two
+    CellRuns over one lengths list, in which adjacent rows whose counts are
+    spelt alike share a run.
 
     Each field is read by parse_uint, as trace fields are, and the
-    addresses run 0, 1, 2, ... in order.
+    addresses run 0, 1, 2, ... in order.  A row whose counts are spelt as
+    the row before reads only its address.
     """
     rows = csv.reader(source)
     if next(rows, None) != ["address", "reads", "writes"]:
         raise ValueError("not a percell-csv file: bad or missing header")
+    lengths: list[int] = []
     reads: list[int] = []
     writes: list[int] = []
+    last = None  # the last run's counts, as spelt
     for i, row in enumerate(rows):
         try:
-            address, read, write = map(parse_uint, row)
-            if address != i:
+            address, *counts = row
+            if parse_uint(address) != i:
                 raise ValueError
+            if counts == last:
+                lengths[-1] += 1
+                continue
+            read, write = map(parse_uint, counts)
         except ValueError:
             raise ValueError(f"percell-csv row {i + 1} malformed") from None
+        last = counts
+        lengths.append(1)
         reads.append(read)
         writes.append(write)
-    return reads, writes
+    return CellRuns(lengths, reads), CellRuns(lengths, writes)
 
 
 def write_table(header: Sequence, rows: Iterable[Sequence], sink) -> None:

@@ -131,6 +131,16 @@ class TestRun:
                      "--policy", policy]) == 2
         assert capsys.readouterr().err == f"wearsim: error: {message}\n"
 
+    def test_error_escapes_control_characters(self, tmp_path, capsys):
+        # a field ending in CRCR keeps one CR after the line's end is cut;
+        # printed raw, it would move a terminal's cursor over the message
+        trace = tmp_path / "t.trace"
+        trace.write_bytes(b"A 1 3\nW 1 0 1\r\r\n")
+        assert main(["run", "--trace", str(trace), "--mem-size", "20",
+                     "--policy", "golden"]) == 3
+        assert capsys.readouterr().err == (
+            f"wearsim: error: {trace}: non-integer field '1\\r' at line 2\n")
+
     def test_bad_policy_is_usage_error_before_reading_trace(self, tmp_path):
         # the trace does not exist: reading it first would exit 3
         assert main(["run", "--trace", str(tmp_path / "nope.trace"),
@@ -637,6 +647,15 @@ class TestReport:
             "wearsim: skipping busy vs idle: zero candidate statistic\n")
         assert table.read_text() == (
             "baseline,candidate,avg_extension,max_extension\nidle,busy,0.0,0.0\n")
+
+    def test_skip_line_escapes_control_characters(self, tmp_path, capsys):
+        busy = write_file(tmp_path / "bu\rsy.json", summary_text())
+        idle = write_file(tmp_path / "idle.json", summary_text(
+            avg_all_cells="0.0", avg_touched_cells="0.0", max_cell="0",
+            touched_cell_count="0"))
+        assert main(["report", busy, idle, "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == (
+            "wearsim: skipping bu\\rsy vs idle: zero candidate statistic\n")
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from wearsim import metrics
-from wearsim.metrics import (CountingMode, SummaryStats, WearReport,
+from wearsim.metrics import (CellRuns, CountingMode, SummaryStats, WearReport,
                              compare_csv_row, lifespan_extension,
                              load_percell_csv, load_summary, summarize,
                              top_n_distribution, write_compare_csv,
@@ -85,6 +86,14 @@ runs_lists = st.lists(
     min_size=1, max_size=20)
 
 
+@st.composite
+def top_n_cases(draw):
+    """Runs, and a rank count from 1 to three past their cells."""
+    runs = draw(runs_lists)
+    cells = sum(length for length, _, _ in runs)
+    return runs, draw(st.just(cells) | st.integers(1, cells + 3))
+
+
 def cells_of(runs):
     """The runs' per-cell (reads, writes) lists."""
     reads, writes = [], []
@@ -140,17 +149,44 @@ class TestTopN:
         top = top_n_distribution([0] * 4, writes, CountingMode.ACCESSES, 4)
         assert sum(top) == sum(writes)
 
-    @given(st.data())
-    def test_equals_sorted_prefix(self, data):
-        reads = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
-        writes = data.draw(st.lists(st.integers(0, 3), min_size=len(reads),
-                                    max_size=len(reads)))
-        mode = data.draw(st.sampled_from(list(CountingMode)))
-        n = data.draw(st.just(len(reads)) | st.integers(1, len(reads) + 3))
-        counts = (writes if mode is CountingMode.WRITES
-                  else [r + w for r, w in zip(reads, writes)])
+    # The same cells come as a report's views, which top-N reads as runs,
+    # as plain lists, or as views over unlike runs, which it must read cell
+    # by cell.
+    @given(top_n_cases(), st.sampled_from(list(CountingMode)),
+           st.sampled_from(["report", "lists", "unlike runs"]))
+    @example(([(3, 1, 0), (2, 0, 2)], 4), CountingMode.ACCESSES, "report")
+    @example(([(3, 1, 0), (2, 0, 2)], 4), CountingMode.ACCESSES, "unlike runs")
+    def test_equals_sorted_prefix(self, case, mode, form):
+        runs, n = case
+        report = report_of_runs(runs)
+        cell_reads, cell_writes = cells_of(runs)
+        reads, writes = {
+            "report": (report.per_cell_reads, report.per_cell_writes),
+            "lists": (cell_reads, cell_writes),
+            "unlike runs": (CellRuns([1] * len(cell_reads), cell_reads),
+                            report.per_cell_writes),
+        }[form]
+        counts = (cell_writes if mode is CountingMode.WRITES
+                  else [r + w for r, w in zip(cell_reads, cell_writes)])
         assert (top_n_distribution(reads, writes, mode, n)
                 == sorted(counts, reverse=True)[:n])
+
+    def test_runs_of_a_huge_report_stay_runs(self):
+        # 2^26 cells in three runs: a per-cell list of them would take
+        # 512 MiB, and top-N and len() take none
+        report = report_of_runs([(2**25, 1, 2), (2**25 - 1, 0, 0), (1, 9, 9)])
+        tracemalloc.start()
+        try:
+            top = top_n_distribution(report.per_cell_reads,
+                                     report.per_cell_writes,
+                                     CountingMode.ACCESSES, 5)
+            cells = len(report.per_cell_reads), len(report.per_cell_writes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top == [18, 3, 3, 3, 3]
+        assert cells == (2**26, 2**26)
+        assert peak < 2**20
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -276,6 +312,17 @@ class TestExport:
         rows = [call.args[0].count("\n") for call in sink.write.call_args_list]
         assert sum(rows) == 1 + 5 + 2 * block  # the header and every cell
         assert rows == [1, block, block, 5]  # the header, then a write per block
+
+    def test_percell_loads_one_run_per_run_written(self):
+        block = metrics.PERCELL_BLOCK_CELLS
+        runs = [(2 * block + 5, 1, 0), (3, 0, 2), (block, 1, 0), (1, 1, 1)]
+        report = report_of_runs(runs)
+        sink = io.StringIO()
+        write_percell_csv(report, sink)
+        reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
+        assert reads.lengths is writes.lengths
+        assert (reads.lengths, reads.values, writes.values) == (
+            report.run_lengths, report.run_reads, report.run_writes)
 
     def test_percell_rejects_garbage(self):
         with pytest.raises(ValueError):
