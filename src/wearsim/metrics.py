@@ -16,10 +16,12 @@ per-cell reads and writes are CellRuns, read-only views that iterate the
 runs cell by cell and hold no per-cell list.  The top-N table is
 heapq.nlargest over (count, length) runs: of a report's views it costs
 O(runs), however many cells they span.  The percell-csv export writes one
-row per cell all the same, but builds them per run and per block of 1000
-addresses, whose rows differ only in their last three digits (in block 0,
-in the whole address): a C join of cached strings, not a str() per cell;
-load_percell_csv folds adjacent rows of like counts back into runs.
+row per cell all the same, but builds them per block of 1000 addresses,
+whose rows differ only in their last three digits (in block 0, in the
+whole address) and in their runs' counts: C joins of cached strings, one
+per run in a block of few runs and a fixed number in a denser block, not
+a str() per cell; load_percell_csv folds adjacent rows of like counts
+back into runs.
 
 Report formats, each written to a text sink:
 
@@ -41,10 +43,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from heapq import nlargest
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, eq, mul
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -248,32 +251,52 @@ def load_summary(source: TextIO) -> tuple[SummaryStats, dict]:
 PERCELL_BLOCK_CELLS = 1000
 _BLOCK_0 = [str(r) for r in range(PERCELL_BLOCK_CELLS)]
 _REMAINDERS = [f"{r:03}" for r in range(PERCELL_BLOCK_CELLS)]
+#: Fewer runs than this in a block are written as one join per run; more,
+#: as one list of rows (on CPython 3.11 the two cost the same near 100).
+_FEW_RUNS = 64
 
 
 def write_percell_csv(report: WearReport, sink) -> None:
-    # A run's rows share the text after the address, and in a block they
-    # share the text before its remainder, so each run piece in a block is
-    # one C join of cached strings.  A run is split at block bounds, and a
-    # block's pieces are written together, so no write holds more than a
-    # block of rows.
+    # Each block is one write.  Its rows differ only in their remainders and
+    # in their runs' text ",reads,writes\n", formatted once per distinct
+    # pair.  A block inside one run is one join of its remainders, and a
+    # block of a few runs one join per run.  A block of many runs is a list
+    # of three strings a row, prefix, remainder and text, filled by slice
+    # assignment: a fixed number of C calls, however many runs it holds.  A
+    # block's runs are found by bisecting the run ends.
     sink.write("address,reads,writes\n")
-    pieces: list[str] = []
-    q, r, prefix, table = 0, 0, "", _BLOCK_0  # address 1000q + r: prefix + table[r]
-    for length, reads, writes in zip(report.run_lengths, report.run_reads,
-                                     report.run_writes):
-        suffix = f",{reads},{writes}\n"
-        while length:
-            stop = min(r + length, PERCELL_BLOCK_CELLS)
-            pieces.append(prefix + (suffix + prefix).join(table[r:stop]) + suffix)
-            length -= stop - r
-            r = stop
-            if r == PERCELL_BLOCK_CELLS:
-                sink.write("".join(pieces))
-                pieces.clear()
-                q, r = q + 1, 0
-                prefix, table = str(q), _REMAINDERS
-    if pieces:
-        sink.write("".join(pieces))
+    lengths, reads, writes = report.run_lengths, report.run_reads, report.run_writes
+    texts = {(r, w): f",{r},{w}\n" for r, w in set(zip(reads, writes))}
+    ends = list(accumulate(lengths))
+    cells = ends[-1] if ends else 0
+    i = 0  # the run that holds the block's first cell
+    for start in range(0, cells, PERCELL_BLOCK_CELLS):
+        stop = min(start + PERCELL_BLOCK_CELLS, cells)
+        n = stop - start
+        # address 1000q + r is spelt prefix + table[r]
+        prefix, table = ((str(start // PERCELL_BLOCK_CELLS), _REMAINDERS) if start
+                         else ("", _BLOCK_0))
+        if ends[i] >= stop:
+            text = texts[reads[i], writes[i]]
+            sink.write(prefix + (text + prefix).join(table[:n]) + text)
+        else:
+            j = bisect_right(ends, stop - 1, i)  # the run that holds its last cell
+            counts = lengths[i:j + 1]  # each run's cells in the block; j > i
+            counts[0] = ends[i] - start
+            counts[-1] = stop - ends[j - 1]
+            run_texts = map(texts.__getitem__, zip(reads[i:j + 1], writes[i:j + 1]))
+            if j - i < _FEW_RUNS:
+                pieces, r = [], 0
+                for text, count in zip(run_texts, counts):
+                    pieces.append(prefix + (text + prefix).join(table[r:r + count]) + text)
+                    r += count
+            else:
+                pieces = [prefix] * (3 * n)
+                pieces[1::3] = table[:n]
+                pieces[2::3] = chain.from_iterable(map(repeat, run_texts, counts))
+            sink.write("".join(pieces))
+            i = j
+        i += ends[i] == stop  # the next block starts the next run
 
 
 def load_percell_csv(source: TextIO) -> tuple[CellRuns, CellRuns]:

@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 from dataclasses import replace
+from random import Random
 from unittest import mock
 
 import pytest
@@ -240,6 +241,26 @@ def csv_writer_percell(report):
     return sink.getvalue()
 
 
+def dense_runs(rng, cells):
+    """Runs of 1-3 cells, fewer at the end, over `cells` cells; counts 0-2."""
+    runs = []
+    while cells:
+        length = min(rng.randint(1, 3), cells)
+        runs.append((length, rng.randint(0, 2), rng.randint(0, 2)))
+        cells -= length
+    return runs
+
+
+def assert_percell_round_trip(runs):
+    """The runs' percell-csv is csv.writer's, and reads back as the runs."""
+    report = report_of_runs(runs)
+    sink = io.StringIO()
+    write_percell_csv(report, sink)
+    assert sink.getvalue() == csv_writer_percell(report)
+    reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
+    assert (reads, writes) == cells_of(runs)
+
+
 def make_report(reads, writes, mode=CountingMode.ACCESSES):
     return WearReport(
         policy="golden", mem_size_cells=len(reads), counting_mode=mode,
@@ -271,21 +292,11 @@ class TestExport:
                     data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
         runs.insert(data.draw(st.integers(0, len(runs))), long_run)
         runs.insert(0, (data.draw(st.integers(1, 2 * block)), 0, 1))
-        report = report_of_runs(runs)
-        sink = io.StringIO()
-        write_percell_csv(report, sink)
-        assert sink.getvalue() == csv_writer_percell(report)
-        reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
-        assert (reads, writes) == cells_of(runs)
+        assert_percell_round_trip(runs)
 
     def test_run_longer_than_a_block(self):
         long_run = metrics.PERCELL_BLOCK_CELLS + 3
-        report = report_of_runs([(2, 0, 0), (long_run, 1, 12), (1, 0, 0)])
-        sink = io.StringIO()
-        write_percell_csv(report, sink)
-        assert sink.getvalue() == csv_writer_percell(report)
-        reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
-        assert (reads, writes) == (report.per_cell_reads, report.per_cell_writes)
+        assert_percell_round_trip([(2, 0, 0), (long_run, 1, 12), (1, 0, 0)])
 
     def test_addresses_that_gain_a_digit(self):
         # over a million cells; each address that gains a digit sits inside
@@ -305,13 +316,44 @@ class TestExport:
                                  "1000002,7,1", "1000003,7,1", "1000004,7,1"]
 
     def test_percell_writes_in_bounded_blocks(self):
+        # blocks 1 and 2 lie inside one run each, block 0 holds two runs and
+        # block 3 a run per cell
         block = metrics.PERCELL_BLOCK_CELLS
-        report = report_of_runs([(5, 0, 1), (2 * block, 2, 0)])
+        report = report_of_runs([(5, 0, 1), (2 * block - 5, 2, 0), (block, 1, 1),
+                                 *[(1, cell % 3, 0) for cell in range(block)],
+                                 (5, 0, 0)])
         sink = mock.Mock()
         write_percell_csv(report, sink)
         rows = [call.args[0].count("\n") for call in sink.write.call_args_list]
-        assert sum(rows) == 1 + 5 + 2 * block  # the header and every cell
-        assert rows == [1, block, block, 5]  # the header, then a write per block
+        assert sum(rows) == 1 + 4 * block + 5  # the header and every cell
+        # the header, then a write per block, of one run, few or many
+        assert rows == [1, block, block, block, block, 5]
+
+    # Runs of 1-3 cells over 2-4 blocks, split at one inner block bound so
+    # that a run ends there and the next starts there; others cross a bound.
+    @given(st.integers(2, 4), st.data(), st.integers(0, 2 ** 32))
+    def test_percell_dense_runs(self, blocks, data, seed):
+        block = metrics.PERCELL_BLOCK_CELLS
+        bound = block * data.draw(st.integers(1, blocks - 1), label="bound")
+        rng = Random(seed)
+        runs = dense_runs(rng, bound) + dense_runs(rng, blocks * block - bound)
+        assert_percell_round_trip(runs)
+
+    @pytest.mark.parametrize("cells", [1, 999, 1000, 1001])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_percell_memories_about_a_block(self, cells, dense):
+        runs = dense_runs(Random(cells), cells) if dense else [(cells, 2, 1)]
+        assert_percell_round_trip(runs)
+
+    def test_percell_without_runs_writes_the_header(self):
+        report = WearReport(
+            policy="golden", mem_size_cells=0,
+            counting_mode=CountingMode.ACCESSES, count_gc_traffic=True,
+            gc_count=0, event_count=0, run_lengths=[], run_reads=[],
+            run_writes=[], summary=SummaryStats(0.0, 0.0, 0, 0, 0))
+        sink = io.StringIO()
+        write_percell_csv(report, sink)
+        assert sink.getvalue() == "address,reads,writes\n"
 
     def test_percell_loads_one_run_per_run_written(self):
         block = metrics.PERCELL_BLOCK_CELLS
