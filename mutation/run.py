@@ -1,0 +1,181 @@
+"""Mutation gate: each mutant of src/ must make the tests it names fail.
+
+Usage, from the root of a repository checkout:
+
+    python mutation/run.py
+
+A mutant names a file, an exact old text, its replacement and the test
+node ids that must fail.  For each mutant the runner copies src/, tests/
+and pyproject.toml into a temporary directory, replaces the old text
+there, and runs the named tests with `-p no:cacheprovider` and a fixed
+`--hypothesis-seed`.  It prints a line per mutant and exits 1 if a mutant
+survives, that is, if any of its tests passes, or if a mutant is stale,
+its old text not found exactly once in its file.  A stale mutant is to be
+restated for the code that replaced its text, not dropped.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+HYPOTHESIS_SEED = 1
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # node ids that must fail
+
+    def __post_init__(self):
+        if not self.tests:
+            raise ValueError(f"mutant {self.name!r} names no test")
+
+
+METRICS = "src/wearsim/metrics.py"
+TRACE_GRAMMAR = ("re.compile(r\"(?:G|F \\d+|A \\d+ 0*[1-9]\\d*|"
+                 "[RW] \\d+ \\d+ 0*[1-9]\\d*)\\r?\",\n                        re.ASCII)")
+
+MUTANTS = [
+    # The percell writer: a block's runs, the clip of its last run's cells,
+    # and the run the next block starts in.
+    Mutant("percell: bisect_left for bisect_right", METRICS,
+           "from bisect import bisect_right",
+           "from bisect import bisect_left as bisect_right",
+           ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
+            "tests/test_metrics.py::TestExport::test_percell_writes_in_bounded_blocks",
+            "tests/test_metrics.py::TestExport::test_percell_dense_runs")),
+    Mutant("percell: last count clipped as if the block held two runs", METRICS,
+           "counts[-1] -= ends[j] - stop",
+           "counts[-1] = stop - ends[j - 1]",
+           ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1000]",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1001]")),
+    Mutant("percell: no run advance when a run ends at a block's end", METRICS,
+           "i = j + (ends[j] == stop)",
+           "i = j",
+           ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
+            "tests/test_metrics.py::TestExport::test_addresses_that_gain_a_digit",
+            "tests/test_metrics.py::TestExport::test_percell_writes_in_bounded_blocks")),
+    # Top-N over runs: at most n counts, and only two views over one lengths.
+    Mutant("top-N: a run's count emitted once per cell, past n", METRICS,
+           "repeat(count, min(length, n - len(top)))",
+           "repeat(count, length)",
+           ("tests/test_metrics.py::TestTopN::test_equals_sorted_prefix",
+            "tests/test_metrics.py::TestTopN::test_runs_of_a_huge_report_stay_runs",
+            "tests/test_cli.py::TestReport::test_topn_from_percell")),
+    Mutant("top-N: views over unlike runs read as runs", METRICS,
+           'if lengths is None or getattr(reads, "lengths", None) is not lengths:',
+           "if lengths is None:",
+           ("tests/test_metrics.py::TestTopN::test_equals_sorted_prefix",)),
+    # runs(): the blocks of SCAN_BLOCK cells it skips or scans.
+    Mutant("runs: a block's last cell left unscanned", "src/wearsim/memory.py",
+           "hi = min(lo + SCAN_BLOCK, size)",
+           "hi = min(lo + SCAN_BLOCK - 1, size)",
+           ("tests/test_memory.py::test_runs_across_scan_blocks",
+            "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
+            "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
+    Mutant("runs: the partial last block dropped", "src/wearsim/memory.py",
+           "for lo in range(0, size, SCAN_BLOCK):",
+           "for lo in range(0, size - size % SCAN_BLOCK, SCAN_BLOCK):",
+           ("tests/test_memory.py::test_runs_across_scan_blocks",
+            "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
+            "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
+    # The trace grammar: ASCII digits only, and sizes of at least 1.
+    Mutant("grammar: \\d takes any Unicode digit", "src/wearsim/trace.py",
+           TRACE_GRAMMAR,
+           TRACE_GRAMMAR.replace(",\n                        re.ASCII)", ")"),
+           ("tests/test_trace.py::TestParse::test_non_ascii_digits_rejected[arabic-indic-three]",
+            "tests/test_trace.py::TestParse::test_non_ascii_digits_rejected[fullwidth-one]",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
+    Mutant("grammar: takes A 1 0", "src/wearsim/trace.py",
+           TRACE_GRAMMAR,
+           TRACE_GRAMMAR.replace("A \\d+ 0*[1-9]\\d*", "A \\d+ \\d+"),
+           ("tests/test_trace.py::TestParse::test_zero_size_rejected",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference",
+            "tests/test_cli.py::TestRun::test_parse_error_exits_3")),
+    # The golden shift: rational shifts that leave the discrepancy bound.
+    Mutant("golden_shift: 3N/8", "src/wearsim/policy.py",
+           "return (3 * ring_size - math.isqrt(5 * ring_size * ring_size) - 1) // 2",
+           "return 3 * ring_size // 8",
+           ("tests/test_leveling.py::test_only_golden_keeps_the_bound[golden-1.667]",
+            "tests/test_policy.py::TestGoldenShift::test_million")),
+    Mutant("golden_shift: N/4 + 1", "src/wearsim/policy.py",
+           "return (3 * ring_size - math.isqrt(5 * ring_size * ring_size) - 1) // 2",
+           "return ring_size // 4 + 1",
+           ("tests/test_leveling.py::test_only_golden_keeps_the_bound[golden-1.667]",
+            "tests/test_policy.py::TestGoldenShift::test_million")),
+]
+
+_FAILED = re.compile(r"^FAILED (\S+)", re.M)
+
+
+class Stale(Exception):
+    """A mutant's old text is not in its file exactly once."""
+
+
+def failing(tests: tuple[str, ...], mutant: Mutant | None = None) -> set[str]:
+    """Copy the tree, apply the mutant if one is given, run the tests; the
+    node ids of those that failed."""
+    with tempfile.TemporaryDirectory(prefix="wearsim-mutant-") as tmp:
+        for name in COPIED:
+            source, target = ROOT / name, Path(tmp, name)
+            if source.is_dir():
+                shutil.copytree(source, target,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, target)
+        if mutant is not None:
+            path = Path(tmp, mutant.path)
+            text = path.read_text()
+            found = text.count(mutant.old)
+            if found != 1:
+                raise Stale(f"its old text is in {mutant.path} {found} times, not once")
+            path.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):  # 1: tests failed; else no tests ran
+        raise RuntimeError(f"pytest exited {result.returncode}:\n"
+                           f"{result.stdout}{result.stderr}")
+    return set(_FAILED.findall(result.stdout))
+
+
+def main() -> int:
+    # Each named test must pass on the tree as it is, or its failure under a
+    # mutant would show nothing.
+    named = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
+    broken = failing(named)
+    for test in sorted(broken):
+        print(f"FAILED  unmutated: {test}")
+    bad = len(broken)
+    for mutant in MUTANTS:
+        try:
+            passed = [t for t in mutant.tests if t not in failing(mutant.tests, mutant)]
+        except Stale as err:
+            problem = f"stale: {err}"
+        else:
+            problem = f"survived: {', '.join(passed)} passed" if passed else None
+        bad += problem is not None
+        print(f"{'KILLED' if problem is None else 'FAILED'}  {mutant.name}"
+              + (f": {problem}" if problem else ""), flush=True)
+    print(f"{len(MUTANTS)} mutants, {bad} problems")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

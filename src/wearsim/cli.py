@@ -8,9 +8,10 @@ and `report`'s line on stderr for each extension pair they skip, its
 candidate statistic being zero: it reads every input, computes every result
 and returns its outputs, which `main` alone writes, to stdout where no path
 is given.  The files replace their targets only once all are complete, so a
-write that fails leaves none of them.  A command that fails raises `_Exit`,
-which carries the code and the error lines; `main` alone prints those lines
-and returns the code.
+write that fails leaves none of them; but replacing several files is not
+atomic, and a replace that fails leaves the targets replaced before it.  A
+command that fails raises `_Exit`, which carries the code and the error
+lines; `main` alone prints those lines and returns the code.
 
 Every number on the command line is an unsigned ASCII decimal, read by
 trace.parse_uint or, for a fraction, by policy.parse_fraction.
@@ -84,7 +85,9 @@ def _write_all(outputs, inputs) -> None:
 
     Each file is written to a temporary file beside it, and only once every
     one is complete do they replace their targets; then the stdout outputs
-    are written in order.  So a write that fails leaves no output behind.
+    are written in order.  So a write that fails leaves no output behind,
+    but a replace that fails leaves the targets replaced before it, and no
+    temporary file.
     A target that exists and is not a regular file, such as /dev/null, is
     written in place.
     """
@@ -104,7 +107,7 @@ def _write_all(outputs, inputs) -> None:
                             f"{names[real]} and {name} would both write {path}")
             names[real] = name
             files.append((path, real, emit))
-    staged: list[tuple[str, str]] = []  # (temporary file, real path it replaces)
+    staged: list[tuple[str, str, str]] = []  # (temporary file, real path, path)
     try:
         for path, real, emit in files:
             try:
@@ -112,20 +115,20 @@ def _write_all(outputs, inputs) -> None:
                     sink = open(path, "w", newline="")
                 else:
                     temp, fd = _create_beside(real)
-                    staged.append((temp, real))
+                    staged.append((temp, real, path))
                     sink = open(fd, "w", newline="")
                 with sink:
                     emit(sink)
             except OSError as err:
                 raise _Exit(EXIT_USAGE, f"cannot write {path}: {err.strerror}") from err
-        for temp, real in staged:
+        for temp, real, path in staged:
             try:
                 os.replace(temp, real)
             except OSError as err:
-                raise _Exit(EXIT_USAGE, f"cannot write {real}: {err.strerror}") from err
+                raise _Exit(EXIT_USAGE, f"cannot write {path}: {err.strerror}") from err
         staged.clear()
     finally:
-        for temp, _ in staged:  # on failure; a replaced one is gone already
+        for temp, *_ in staged:  # on failure; a replaced one is gone already
             with suppress(OSError):
                 os.remove(temp)
     for _, path, emit in outputs:

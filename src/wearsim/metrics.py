@@ -14,14 +14,14 @@ report of millions of cells has a few hundred runs, and the statistics
 cost per run, not per cell; per-cell counts are runs of length 1.  Its
 per-cell reads and writes are CellRuns, read-only views that iterate the
 runs cell by cell and hold no per-cell list.  The top-N table is
-heapq.nlargest over (count, length) runs: of a report's views it costs
-O(runs), however many cells they span.  The percell-csv export writes one
-row per cell all the same, but builds them per block of 1000 addresses,
-whose rows differ only in their last three digits (in block 0, in the
-whole address) and in their runs' counts: C joins of cached strings, one
-per run in a block of few runs and a fixed number in a denser block, not
-a str() per cell; load_percell_csv folds adjacent rows of like counts
-back into runs.
+heapq.nlargest over the (count, length) runs of two such views, a report's
+or a loaded percell-csv's: it costs O(runs), however many cells they span.
+The percell-csv export writes one row per cell all the same, but builds
+them per block of 1000 addresses, whose rows differ only in their last
+three digits (in block 0, in the whole address) and in their runs' counts:
+C joins of cached strings, one per run in a block of few runs, one run
+included, and a fixed number in a denser block, not a str() per cell;
+load_percell_csv folds adjacent rows of like counts back into runs.
 
 Report formats, each written to a text sink:
 
@@ -151,25 +151,24 @@ def summarize(lengths: Sequence[int], reads: Sequence[int], writes: Sequence[int
     )
 
 
-def top_n_distribution(reads: Sequence[int], writes: Sequence[int],
+def top_n_distribution(reads: CellRuns, writes: CellRuns,
                        mode: CountingMode, n: int) -> list[int]:
     """The n largest per-cell counts, descending; one per cell, so fewer
     than n when the memory has fewer cells.
 
+    reads and writes are two CellRuns over one lengths list, as a
+    WearReport and load_percell_csv give; anything else is a ValueError.
     heapq.nlargest picks the n largest (count, length) runs, which cover at
     least n cells, and each count is emitted once per cell of its run until
-    n are out.  Two CellRuns over one lengths list, as a WearReport and
-    load_percell_csv give, are read as their runs, so the cost is O(runs);
-    any other pair of sequences is read as runs of one cell each.
+    n are out, so the cost is O(runs).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if (type(reads) is type(writes) is CellRuns
-            and reads.lengths is writes.lengths):
-        lengths, reads, writes = writes.lengths, reads.values, writes.values
-    else:
-        lengths = repeat(1)
-    counts = writes if mode is CountingMode.WRITES else map(add, reads, writes)
+    lengths = getattr(writes, "lengths", None)
+    if lengths is None or getattr(reads, "lengths", None) is not lengths:
+        raise ValueError("top-N reads two CellRuns over one lengths list")
+    counts = (writes.values if mode is CountingMode.WRITES
+              else map(add, reads.values, writes.values))
     top: list[int] = []
     for count, length in nlargest(n, zip(counts, lengths)):
         top += repeat(count, min(length, n - len(top)))
@@ -259,11 +258,11 @@ _FEW_RUNS = 64
 def write_percell_csv(report: WearReport, sink) -> None:
     # Each block is one write.  Its rows differ only in their remainders and
     # in their runs' text ",reads,writes\n", formatted once per distinct
-    # pair.  A block inside one run is one join of its remainders, and a
-    # block of a few runs one join per run.  A block of many runs is a list
-    # of three strings a row, prefix, remainder and text, filled by slice
-    # assignment: a fixed number of C calls, however many runs it holds.  A
-    # block's runs are found by bisecting the run ends.
+    # pair.  A block's runs are found by bisecting the run ends.  A block of
+    # few runs, one run included, is one join of its remainders per run.  A
+    # block of many runs is a list of three strings a row, prefix, remainder
+    # and text, filled by slice assignment: a fixed number of C calls,
+    # however many runs it holds.
     sink.write("address,reads,writes\n")
     lengths, reads, writes = report.run_lengths, report.run_reads, report.run_writes
     texts = {(r, w): f",{r},{w}\n" for r, w in set(zip(reads, writes))}
@@ -276,27 +275,22 @@ def write_percell_csv(report: WearReport, sink) -> None:
         # address 1000q + r is spelt prefix + table[r]
         prefix, table = ((str(start // PERCELL_BLOCK_CELLS), _REMAINDERS) if start
                          else ("", _BLOCK_0))
-        if ends[i] >= stop:
-            text = texts[reads[i], writes[i]]
-            sink.write(prefix + (text + prefix).join(table[:n]) + text)
+        j = bisect_right(ends, stop - 1, i)  # the run that holds its last cell
+        counts = lengths[i:j + 1]  # each run's cells in the block
+        counts[0] = ends[i] - start
+        counts[-1] -= ends[j] - stop
+        run_texts = map(texts.__getitem__, zip(reads[i:j + 1], writes[i:j + 1]))
+        if j - i < _FEW_RUNS:
+            pieces, r = [], 0
+            for text, count in zip(run_texts, counts):
+                pieces.append(prefix + (text + prefix).join(table[r:r + count]) + text)
+                r += count
         else:
-            j = bisect_right(ends, stop - 1, i)  # the run that holds its last cell
-            counts = lengths[i:j + 1]  # each run's cells in the block; j > i
-            counts[0] = ends[i] - start
-            counts[-1] = stop - ends[j - 1]
-            run_texts = map(texts.__getitem__, zip(reads[i:j + 1], writes[i:j + 1]))
-            if j - i < _FEW_RUNS:
-                pieces, r = [], 0
-                for text, count in zip(run_texts, counts):
-                    pieces.append(prefix + (text + prefix).join(table[r:r + count]) + text)
-                    r += count
-            else:
-                pieces = [prefix] * (3 * n)
-                pieces[1::3] = table[:n]
-                pieces[2::3] = chain.from_iterable(map(repeat, run_texts, counts))
-            sink.write("".join(pieces))
-            i = j
-        i += ends[i] == stop  # the next block starts the next run
+            pieces = [prefix] * (3 * n)
+            pieces[1::3] = table[:n]
+            pieces[2::3] = chain.from_iterable(map(repeat, run_texts, counts))
+        sink.write("".join(pieces))
+        i = j + (ends[j] == stop)  # the next block starts the next run
 
 
 def load_percell_csv(source: TextIO) -> tuple[CellRuns, CellRuns]:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import stat
@@ -795,6 +796,46 @@ class TestOneFilePerOutput:
         assert capsys.readouterr() == (
             "", "wearsim: error: cannot write nodir/ext.csv: "
                 "No such file or directory\n")
+
+    # replacing several targets is not atomic: a failed replace leaves the
+    # targets replaced before it, and names its target as typed
+    def test_failed_replace_keeps_earlier_targets(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        for name in ("cmp.csv", "ext.csv"):
+            write_file(tmp_path / name, "old\n")
+        replace, calls = os.replace, []
+
+        def replace_once(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", replace_once)
+        assert main(["compare", "--trace", "t.trace", "--mem-size", "20",
+                     "--policies", "none,golden", "--out", "cmp.csv",
+                     "--extensions-out", "ext.csv"]) == 2
+        assert capsys.readouterr() == (
+            "", "wearsim: error: cannot write ext.csv: Permission denied\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cmp.csv", "ext.csv", "t.trace"]
+        assert (tmp_path / "cmp.csv").read_text().startswith("trace,policy,")
+        assert (tmp_path / "ext.csv").read_text() == "old\n"
+
+    def test_failed_stdout_write_is_usage_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        monkeypatch.chdir(tmp_path)
+        write_file(tmp_path / "t.trace", TRIVIAL)
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["run", "--trace", "t.trace", "--mem-size", "20",
+                     "--policy", "golden", "--percell", "p.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "wearsim: error: cannot write stdout: Broken pipe\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "t.trace"]
 
     def test_new_output_mode_follows_umask(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

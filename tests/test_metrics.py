@@ -130,47 +130,62 @@ class TestSummarizeRuns:
         assert stats.avg_all_cells == 3 / 5
 
 
+def unit_runs(reads, writes):
+    """Per-cell counts as two CellRuns of one-cell runs over one lengths list."""
+    lengths = [1] * len(reads)
+    return CellRuns(lengths, reads), CellRuns(lengths, writes)
+
+
 class TestTopN:
     def test_descending_prefix(self):
-        assert top_n_distribution([0] * 4, [5, 1, 9, 9],
+        assert top_n_distribution(*unit_runs([0] * 4, [5, 1, 9, 9]),
                                   CountingMode.ACCESSES, 3) == [9, 9, 5]
 
     def test_padding(self):
         # one count per cell: n past the memory's size adds no rows
-        assert top_n_distribution([0, 0], [4, 2],
+        assert top_n_distribution(*unit_runs([0, 0], [4, 2]),
                                   CountingMode.ACCESSES, 5) == [4, 2]
 
     def test_first_is_max(self):
         writes = [3, 17, 2, 17]
-        top = top_n_distribution([0] * 4, writes, CountingMode.ACCESSES, 2)
+        top = top_n_distribution(*unit_runs([0] * 4, writes),
+                                 CountingMode.ACCESSES, 2)
         assert top[0] == stats_from(writes).max_cell
 
     def test_full_width_sums_to_total(self):
         writes = [3, 0, 2, 9]
-        top = top_n_distribution([0] * 4, writes, CountingMode.ACCESSES, 4)
+        top = top_n_distribution(*unit_runs([0] * 4, writes),
+                                 CountingMode.ACCESSES, 4)
         assert sum(top) == sum(writes)
 
-    # The same cells come as a report's views, which top-N reads as runs,
-    # as plain lists, or as views over unlike runs, which it must read cell
-    # by cell.
+    # The same cells come as a report's views, as views of a run per cell,
+    # or as views over unlike runs, which top-N refuses.
     @given(top_n_cases(), st.sampled_from(list(CountingMode)),
-           st.sampled_from(["report", "lists", "unlike runs"]))
+           st.sampled_from(["report", "cells", "unlike runs"]))
     @example(([(3, 1, 0), (2, 0, 2)], 4), CountingMode.ACCESSES, "report")
     @example(([(3, 1, 0), (2, 0, 2)], 4), CountingMode.ACCESSES, "unlike runs")
     def test_equals_sorted_prefix(self, case, mode, form):
         runs, n = case
         report = report_of_runs(runs)
         cell_reads, cell_writes = cells_of(runs)
+        if form == "unlike runs":
+            reads, _ = unit_runs(cell_reads, cell_writes)
+            with pytest.raises(ValueError, match="^top-N reads two CellRuns "
+                               "over one lengths list$"):
+                top_n_distribution(reads, report.per_cell_writes, mode, n)
+            return
         reads, writes = {
             "report": (report.per_cell_reads, report.per_cell_writes),
-            "lists": (cell_reads, cell_writes),
-            "unlike runs": (CellRuns([1] * len(cell_reads), cell_reads),
-                            report.per_cell_writes),
+            "cells": unit_runs(cell_reads, cell_writes),
         }[form]
         counts = (cell_writes if mode is CountingMode.WRITES
                   else [r + w for r, w in zip(cell_reads, cell_writes)])
         assert (top_n_distribution(reads, writes, mode, n)
                 == sorted(counts, reverse=True)[:n])
+
+    def test_plain_lists_are_refused(self):
+        with pytest.raises(ValueError, match="^top-N reads two CellRuns"):
+            top_n_distribution([0, 0], [4, 2], CountingMode.ACCESSES, 1)
 
     def test_runs_of_a_huge_report_stay_runs(self):
         # 2^26 cells in three runs: a per-cell list of them would take
@@ -190,8 +205,13 @@ class TestTopN:
         assert peak < 2**20
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            top_n_distribution([0], [0], CountingMode.ACCESSES, 0)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            top_n_distribution(*unit_runs([0], [0]), CountingMode.ACCESSES, 0)
+
+    def test_a_view_is_unequal_to_a_non_sequence(self):
+        reads, _ = unit_runs([5], [0])
+        assert reads == [5]
+        assert (reads == 5) is False
 
 
 class TestLifespanExtension:
