@@ -79,6 +79,32 @@ MUTANTS = [
            'if lengths is None or getattr(reads, "lengths", None) is not lengths:',
            "if lengths is None:",
            ("tests/test_metrics.py::TestTopN::test_equals_sorted_prefix",)),
+    # The percell remainders, blocks and loader.
+    Mutant("percell: remainders not padded to three digits", METRICS,
+           '_REMAINDERS = [f"{r:03}" for r in range(PERCELL_BLOCK_CELLS)]',
+           "_REMAINDERS = [str(r) for r in range(PERCELL_BLOCK_CELLS)]",
+           ("tests/test_metrics.py::TestExport::test_addresses_that_gain_a_digit",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1001]")),
+    Mutant("percell: the last block dropped", METRICS,
+           "for start in range(0, cells, PERCELL_BLOCK_CELLS):",
+           "for start in range(0, cells - cells % PERCELL_BLOCK_CELLS, PERCELL_BLOCK_CELLS):",
+           ("tests/test_metrics.py::TestExport::test_percell_round_trip",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1]")),
+    Mutant("percell loader: rows never folded into runs", METRICS,
+           "if counts == last:",
+           "if False:",
+           ("tests/test_metrics.py::TestExport::test_percell_loads_one_run_per_run_written",)),
+    # GC copies as ranges: one write from the first mover, one read per run.
+    Mutant("gc ranges: the write from the space's start", "src/wearsim/engine.py",
+           "write_base = dest",
+           "write_base = self.start",
+           ("tests/test_engine.py::TestGcRanges::test_ranges[tail-True]",
+            "tests/test_oracle.py::test_engine_matches_reference[single-True]")),
+    Mutant("gc ranges: one read merging every source", "src/wearsim/engine.py",
+           "if base == end:",
+           "if runs:",
+           ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
+            "tests/test_engine.py::TestGcRanges::test_one_write_and_one_read_per_run")),
     # runs(): the blocks of SCAN_BLOCK cells it skips or scans.
     Mutant("runs: a block's last cell left unscanned", "src/wearsim/memory.py",
            "hi = min(lo + SCAN_BLOCK, size)",
@@ -105,6 +131,22 @@ MUTANTS = [
            ("tests/test_trace.py::TestParse::test_zero_size_rejected",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference",
             "tests/test_cli.py::TestRun::test_parse_error_exits_3")),
+    Mutant("grammar: matches no line", "src/wearsim/trace.py",
+           TRACE_GRAMMAR,
+           're.compile(r"(?!)", re.ASCII)',
+           ("tests/test_trace.py::TestParse::test_basic",
+            "tests/test_trace.py::TestParse::test_crlf_tolerated",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
+    Mutant("grammar: refuses a zero-padded size or length", "src/wearsim/trace.py",
+           TRACE_GRAMMAR,
+           TRACE_GRAMMAR.replace("0*[1-9]", "[1-9]"),
+           ("tests/test_trace.py::TestParse::test_zero_padded_fields",)),
+    # The validator: a parsed opcode is of type str, not a subclass of it.
+    Mutant("validate: a str-subclass opcode taken", "src/wearsim/trace.py",
+           "and type(event[0]) is str",
+           "and isinstance(event[0], str)",
+           ("tests/test_trace.py::TestValidate::test_malformed_event[str-subclass]",
+            "tests/test_trace.py::TestAgainstReference::test_validate_matches_reference")),
     # The golden shift: rational shifts that leave the discrepancy bound.
     Mutant("golden_shift: 3N/8", "src/wearsim/policy.py",
            "return (3 * ring_size - math.isqrt(5 * ring_size * ring_size) - 1) // 2",

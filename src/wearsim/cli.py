@@ -49,14 +49,11 @@ class _Exit(Exception):
     """Ends a command; its args are the nonzero exit code, then the error lines."""
 
 
-_CONTROL_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7f, 0xa0))}
-
-
 def _say(line: str) -> None:
-    """Print a line to stderr.  It may quote an input, a trace field's CR or a
-    file name's, so each control character is printed as its escape: a CR as
-    the two characters \\ and r."""
-    print(line.translate(_CONTROL_ESCAPES), file=sys.stderr)
+    """Print a line, which may quote a trace field or a file name, to stderr,
+    with each character that isprintable() refuses as repr() spells it."""
+    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in line),
+          file=sys.stderr)
 
 
 def _topn(text: str) -> int:

@@ -17,25 +17,26 @@ Wire format (UTF-8 text, LF line endings)::
     W <id> <off> <len>     write <len> cells starting <off> into the object
     G                      garbage-collection trigger
 
-Fields are unsigned ASCII decimals separated by single spaces, read by
-parse_uint as is every integer wearsim reads.  `_EVENT_LINE` is the one
-statement of an event line's grammar: a line that matches it is an event
-as it stands, and parse_trace words the fault of any other line that is
-neither blank nor a comment.  parse_trace reads the format from a ``str``
-and format_trace renders it to one; callers do their own file I/O and
-decoding.
+Fields are unsigned ASCII decimals separated by single spaces.
+`_EVENT_LINE` states an event line's grammar and is the only gate on one:
+parse_trace reads an event only from a line that matches it, and
+`_refuse_event` words, in parse_uint's terms, the fault of any other line
+that is neither blank nor a comment.  parse_trace reads the format from a
+``str`` and format_trace renders it to one; callers do their own file I/O
+and decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
-``("W", id, off, len)`` or ``("G",)``.  validate_trace returns one
-line, ``event <i>: <message>``, per event that breaks a live-object rule
-or is a hand-built tuple that no line could produce.
+``("W", id, off, len)`` or ``("G",)``.  validate_trace returns a line
+``event <i>: <message>`` per event that breaks a live-object rule or,
+by its per-opcode branches alone, is a tuple that no line could produce.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 FORMAT_VERSION = 1
 MAGIC_PREFIX = "#! wearsim-trace v"
@@ -83,7 +84,9 @@ def _parse_version(line: str) -> None:
         raise ValueError(f"unsupported trace format version {version}")
 
 
-def _parse_event(line: str) -> TraceEvent:
+def _refuse_event(line: str) -> NoReturn:
+    """Raise why `line` is not an event.  `_EVENT_LINE` refused it, so if its
+    opcode, field count and fields are sound, its last field is 0."""
     fields = line.split(" ")
     opcode = fields[0]
     arity = _OPCODE_ARITY.get(opcode)
@@ -91,18 +94,17 @@ def _parse_event(line: str) -> TraceEvent:
         raise ValueError(f"unknown opcode '{opcode}'")
     if len(fields) != arity:
         raise ValueError(f"expected {arity} fields for '{opcode}', got {len(fields)}")
-    event = (opcode, *map(parse_uint, fields[1:]))
-    if arity > 2 and event[-1] < 1:
-        raise ValueError(f"{'size' if opcode == 'A' else 'length'} must be >= 1")
-    return event
+    for text in fields[1:]:
+        parse_uint(text)
+    raise ValueError(f"{'size' if opcode == 'A' else 'length'} must be >= 1")
 
 
 def parse_trace(text: str) -> Trace:
     """Parse wire-format text into a Trace.
 
-    Takes the whole trace as one string; LF and CRLF line endings are
-    both accepted.  Raises ValueError naming the first offending line:
-    its message ends " at line <n>".
+    Reads one string, with LF or CRLF line endings, and an event only from
+    a line that `_EVENT_LINE` matches.  Raises ValueError naming the first
+    offending line: its message ends " at line <n>".
     """
     events: list[TraceEvent] = []
     suggested: int | None = None
@@ -127,7 +129,7 @@ def parse_trace(text: str) -> Trace:
             if not line.strip():
                 continue
             if not line.startswith("#"):
-                events.append(_parse_event(line))
+                _refuse_event(line)
             elif line_no == 1 and line.startswith("#!"):
                 _parse_version(line)
             else:
@@ -141,8 +143,9 @@ def parse_trace(text: str) -> Trace:
     return Trace(events, TraceHeader(suggested))
 
 
-def _malformation(event) -> str | None:
-    """Why `event` is not the tuple of a wire-format line, or None if it is."""
+def _malformation(event) -> str:
+    """Why `event`, which validate_trace's branches refused, is not the tuple
+    of a line: if its opcode, arity and fields are sound, its last field is 0."""
     opcode = event[0] if type(event) is tuple and event else None
     arity = _OPCODE_ARITY.get(opcode) if type(opcode) is str else None
     if arity is None or len(event) != arity:
@@ -150,9 +153,7 @@ def _malformation(event) -> str | None:
     for value in event[1:]:
         if type(value) is not int or value < 0:
             return f"field {value!r} of {event!r} is not an unsigned integer"
-    if arity > 2 and event[-1] < 1:
-        return f"{'size' if opcode == 'A' else 'length'} must be >= 1"
-    return None
+    return f"{'size' if opcode == 'A' else 'length'} must be >= 1"
 
 
 def validate_trace(trace: Trace) -> list[str]:
@@ -162,8 +163,8 @@ def validate_trace(trace: Trace) -> list[str]:
     Order-sensitive and deterministic.  A violating event does not
     change the tracked live set, so later events are judged as if the
     offender had been dropped.  A malformed event is judged by no other
-    rule: each opcode's branch checks the event's shape inline, and
-    `_malformation` words what is wrong with one that fails.
+    rule: each opcode's branch, the only gate, checks its shape inline,
+    and `_malformation` only words what is wrong with one they refuse.
     """
     errors: list[str] = []
     live: dict[int, int] = {}

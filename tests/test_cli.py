@@ -142,6 +142,15 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"wearsim: error: {trace}: non-integer field '1\\r' at line 2\n")
 
+    def test_error_escapes_a_byte_order_mark(self, tmp_path, capsys):
+        # printed raw, the invisible mark would make the opcode read 'A'
+        trace = tmp_path / "t.trace"
+        trace.write_bytes(b"\xef\xbb\xbfA 1 3\n")
+        assert main(["run", "--trace", str(trace), "--mem-size", "20",
+                     "--policy", "golden"]) == 3
+        assert capsys.readouterr().err == (
+            f"wearsim: error: {trace}: unknown opcode '\\ufeffA' at line 1\n")
+
     def test_bad_policy_is_usage_error_before_reading_trace(self, tmp_path):
         # the trace does not exist: reading it first would exit 3
         assert main(["run", "--trace", str(tmp_path / "nope.trace"),
@@ -657,6 +666,16 @@ class TestReport:
         assert main(["report", busy, idle, "--out", os.devnull]) == 0
         assert capsys.readouterr().err == (
             "wearsim: skipping bu\\rsy vs idle: zero candidate statistic\n")
+
+    def test_skip_line_escapes_a_direction_override(self, tmp_path, capsys):
+        # printed raw, U+202E would reverse the rest of the terminal line
+        busy = write_file(tmp_path / "bu\u202esy.json", summary_text())
+        idle = write_file(tmp_path / "idle.json", summary_text(
+            avg_all_cells="0.0", avg_touched_cells="0.0", max_cell="0",
+            touched_cell_count="0"))
+        assert main(["report", busy, idle, "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == (
+            "wearsim: skipping bu\\u202esy vs idle: zero candidate statistic\n")
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

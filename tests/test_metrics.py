@@ -326,7 +326,6 @@ class TestExport:
         sink = io.StringIO()
         write_percell_csv(report, sink)
         text = sink.getvalue()
-        assert text == csv_writer_percell(report)
         rows = text.splitlines()[1:]
         assert len(rows) == 1_000_005
         assert rows[997:1001] == ["997,1,0", "998,0,2", "999,0,2", "1000,0,2"]
@@ -334,6 +333,8 @@ class TestExport:
         assert rows[99999:100002] == ["99999,3,3", "100000,3,3", "100001,0,0"]
         assert rows[999999:] == ["999999,0,0", "1000000,7,1", "1000001,7,1",
                                  "1000002,7,1", "1000003,7,1", "1000004,7,1"]
+        # last: pytest takes minutes to show how two million-row texts differ
+        assert text == csv_writer_percell(report)
 
     def test_percell_writes_in_bounded_blocks(self):
         # blocks 1 and 2 lie inside one run each, block 0 holds two runs and

@@ -106,6 +106,9 @@ class TestParse:
             parse_trace("# one\n\n# three\nF 0 extra\n")
         assert str(err.value).endswith(" at line 4")
 
+    def test_zero_padded_fields(self):
+        assert parse_trace("A 1 05\nR 1 00 01\n").events == [("A", 1, 5), ("R", 1, 0, 1)]
+
     def test_crlf_tolerated(self):
         assert parse_trace("A 1 3\r\nG\r\n").events == [("A", 1, 3), ("G",)]
 
@@ -120,6 +123,10 @@ class TestParseUint:
     def test_refuses_what_int_might_take(self, text):
         with pytest.raises(ValueError, match="non-integer field"):
             parse_uint(text)
+
+
+class Opcode(str):
+    """Equal to an opcode, but not of type str, as every parsed opcode is."""
 
 
 class TestValidate:
@@ -174,6 +181,8 @@ class TestValidate:
                      id="bool-field"),
         pytest.param((), "not a trace event: ()", id="empty"),
         pytest.param("A 1 3", "not a trace event: 'A 1 3'", id="not-a-tuple"),
+        pytest.param(["A", 1, 3], "not a trace event: ['A', 1, 3]", id="list"),
+        pytest.param((Opcode("G"),), "not a trace event: ('G',)", id="str-subclass"),
     ])
     def test_malformed_event(self, event, message):
         violations = validate_trace(Trace([("A", 1, 3), event]))
@@ -245,10 +254,6 @@ def trace_lines(draw):
         else:
             line += "7" * draw(st.integers(4301, 4400))
     return line + draw(st.sampled_from(["", "", "", "\r", "\r\r"]))
-
-
-class Opcode(str):
-    """Equal to an opcode, but not of type str, as every parsed opcode is."""
 
 
 #: Well-formed events with few ids, so that they meet the live set.
