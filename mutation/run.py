@@ -44,6 +44,7 @@ class Mutant:
 
 
 METRICS = "src/wearsim/metrics.py"
+ENGINE = "src/wearsim/engine.py"
 TRACE_GRAMMAR = ("re.compile(r\"(?:G|F \\d+|A \\d+ 0*[1-9]\\d*|"
                  "[RW] \\d+ \\d+ 0*[1-9]\\d*)\\r?\",\n                        re.ASCII)")
 
@@ -95,12 +96,12 @@ MUTANTS = [
            "if False:",
            ("tests/test_metrics.py::TestExport::test_percell_loads_one_run_per_run_written",)),
     # GC copies as ranges: one write from the first mover, one read per run.
-    Mutant("gc ranges: the write from the space's start", "src/wearsim/engine.py",
+    Mutant("gc ranges: the write from the space's start", ENGINE,
            "write_base = dest",
            "write_base = self.start",
            ("tests/test_engine.py::TestGcRanges::test_ranges[tail-True]",
             "tests/test_oracle.py::test_engine_matches_reference[single-True]")),
-    Mutant("gc ranges: one read merging every source", "src/wearsim/engine.py",
+    Mutant("gc ranges: one read merging every source", ENGINE,
            "if base == end:",
            "if runs:",
            ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
@@ -113,11 +114,36 @@ MUTANTS = [
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
     Mutant("runs: the partial last block dropped", "src/wearsim/memory.py",
-           "for lo in range(0, size, SCAN_BLOCK):",
-           "for lo in range(0, size - size % SCAN_BLOCK, SCAN_BLOCK):",
+           "compress(range(0, size, SCAN_BLOCK), scan)",
+           "compress(range(0, size - size % SCAN_BLOCK, SCAN_BLOCK), scan)",
            ("tests/test_memory.py::test_runs_across_scan_blocks",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
+    # The report reads only the blocks its epochs met: each epoch's arc and
+    # the cell just past it, on both sides of the seam, every epoch included.
+    Mutant("report spans: an arc's blocks end before the cell just past it",
+           "src/wearsim/memory.py",
+           "last = start + cells",
+           "last = start + cells - 1",
+           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",)),
+    Mutant("report spans: the piece past the seam dropped", "src/wearsim/memory.py",
+           "if last > size:",
+           "if False:",
+           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",)),
+    Mutant("report spans: an epoch taken with the next one's start", ENGINE,
+           "        self.epochs.append((source, self.start, self.used))\n"
+           "        self.start = dest = self.policy_state.take(target)\n",
+           "        self.start = dest = self.policy_state.take(target)\n"
+           "        self.epochs.append((source, self.start, self.used))\n",
+           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",
+            "tests/test_oracle.py::test_runs_match_reference_in_large_memory[loop-2097152-random:1]",
+            "tests/test_oracle.py::test_runs_match_reference_in_large_memory[hotspot-1048576-random:1]")),
+    Mutant("report spans: the current epoch left out", ENGINE,
+           "[*self.epochs, (self.work_ring, self.start, self.used)]",
+           "self.epochs",
+           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",
+            "tests/test_engine.py::TestReportLayout::test_ring_one_cell_follows_ring_zero",
+            "tests/test_engine.py::TestReportLayout::test_single_space_cell_is_its_address")),
     # The trace grammar: ASCII digits only, and sizes of at least 1.
     Mutant("grammar: \\d takes any Unicode digit", "src/wearsim/trace.py",
            TRACE_GRAMMAR,

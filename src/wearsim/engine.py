@@ -28,6 +28,14 @@ single space.  A collection records one write range, from the first
 object that moves to the end of the compacted block, and one read range
 per run of adjacent source objects.  Allocation, freeing, and the
 post-collection clean of the old work space touch no cells at all.
+
+An epoch is the run of events between two collections.  Its accesses,
+and the reads of the collection that ends it, lie in the `used` cells
+from its `start` on its work space, and that collection's writes lie in
+the next epoch's.  So the engine keeps each ended epoch's (space, start,
+used), and a report reads the counters only in the `SCAN_BLOCK` blocks
+that the epochs of each space meet: its cost grows with the blocks the
+epochs spanned, not with the memory.
 """
 
 from __future__ import annotations
@@ -77,7 +85,11 @@ class EngineConfig:
 
 
 class Engine:
-    """Replays one trace; confine each instance to a single run."""
+    """Replays one trace; confine each instance to a single run.
+
+    The counters in `spaces` are written only through the handlers below:
+    `build_report` reads them only where the epochs lay.
+    """
 
     def __init__(self, config: EngineConfig):
         self.config = config
@@ -89,6 +101,7 @@ class Engine:
         self.objects: dict[int, ObjectRecord] = {}
         self.start = 0  # base of the block compacted at the last collection
         self.used = 0   # that block's cells plus every cell allocated since
+        self.epochs: list[tuple[int, int, int]] = []  # each ended: (space, start, used)
         self.gc_count = 0
         self.event_count = 0
 
@@ -125,6 +138,7 @@ class Engine:
         live = sorted(self.objects.values(), key=lambda r: r.base_cell)
         source = self.work_ring
         target = (source + 1) % len(self.spaces)
+        self.epochs.append((source, self.start, self.used))
         self.start = dest = self.policy_state.take(target)
         first = 0
         if source == target:
@@ -177,10 +191,14 @@ class Engine:
         self.event_count += 1
 
     def build_report(self, mode: CountingMode = CountingMode.ACCESSES) -> WearReport:
+        spans: list[list[tuple[int, int]]] = [[] for _ in self.spaces]
+        for space, start, used in [*self.epochs, (self.work_ring, self.start, self.used)]:
+            spans[space].append((start, used))
         # space r's cell c is at address r * capacity + c, so the report's
         # runs are each space's runs in turn
         lengths, reads, writes = (list(chain.from_iterable(column)) for column
-                                  in zip(*(space.runs() for space in self.spaces)))
+                                  in zip(*(space.runs(arcs) for space, arcs
+                                           in zip(self.spaces, spans))))
         return WearReport(
             policy=self.config.policy.spec_string(),
             mem_size_cells=self.config.mem_size_cells,

@@ -14,9 +14,9 @@ updates, four when it wraps the seam, whatever its length.  A cell's
 count is the prefix sum of that array up to the cell.  The counts are
 read only as runs of equal (reads, writes): a run starts wherever either
 array is nonzero.  Finding the runs costs one C slice comparison per block
-of `SCAN_BLOCK` cells, and a per-cell scan only of the blocks that hold a
-nonzero delta; everything after that grows with the number of runs, not
-of cells.
+of `SCAN_BLOCK` cells that the given spans meet, the whole ring when none
+are given, and a per-cell scan only of the blocks that hold a nonzero
+delta; everything after that grows with the number of runs, not of cells.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ class CellCounters:
             deltas[0] += 1
             deltas[end - size] -= 1
 
-    def runs(self) -> tuple[list[int], list[int], list[int]]:
+    def runs(self, spans: list[tuple[int, int]] | None = None
+             ) -> tuple[list[int], list[int], list[int]]:
         """The counts as runs of cells with equal (reads, writes), cell 0 first.
 
         Returns the runs' lengths, and the reads and the writes of each of
@@ -80,11 +81,24 @@ class CellCounters:
         The arrays are read in blocks of `SCAN_BLOCK` cells: a block whose
         deltas are all zero costs one slice comparison per kind, and only
         the others are scanned cell by cell.
+
+        `spans`, if given, lists (start, cells) arcs of the ring, which may
+        wrap the seam, such that every range recorded lies inside one of
+        them; only the blocks that meet an arc or the cell just past it are
+        read.  None reads every block.
         """
         size = self.size_cells
         reads, writes = self._deltas["R"], self._deltas["W"]
+        scan = bytearray(-(-size // SCAN_BLOCK))  # 1 for each block to read
+        for start, cells in [(0, size)] if spans is None else spans:
+            last = start + cells  # the cell just past the arc, unwrapped
+            first, stop = start // SCAN_BLOCK, min(last, size - 1) // SCAN_BLOCK + 1
+            scan[first:stop] = b"\1" * (stop - first)
+            if last > size:  # the piece past the seam
+                stop = (last - size) // SCAN_BLOCK + 1
+                scan[:stop] = b"\1" * stop
         starts = []
-        for lo in range(0, size, SCAN_BLOCK):
+        for lo in compress(range(0, size, SCAN_BLOCK), scan):
             # the entry at `size` starts no run; a short last block never
             # equals the zero block, so it is always scanned
             hi = min(lo + SCAN_BLOCK, size)

@@ -340,18 +340,22 @@ class TestSingleSpace:
             engine.handle_alloc(2, 9)
 
 
+# Counters are written through the engine's handlers only, as build_report
+# reads them only where the epochs lay.
 class TestReportLayout:
     def test_ring_one_cell_follows_ring_zero(self):
         engine = engine_for(8)  # two rings of 4 cells
-        engine.spaces[0].record_range(0, 2, "W")
-        engine.spaces[1].record_range(3, 1, "W")
+        for event in [("A", 1, 2), ("W", 1, 0, 2), ("G",), ("W", 1, 1, 1)]:
+            engine.process(event)
         report = engine.build_report()
-        assert report.per_cell_writes == [1, 1, 0, 0, 0, 0, 0, 1]
-        assert report.per_cell_reads == [0] * 8
+        # ring 0: the first write; ring 1: the copy's write, then cell 1's
+        assert report.per_cell_writes == [1, 1, 0, 0, 1, 2, 0, 0]
+        assert report.per_cell_reads == [1, 1, 0, 0, 0, 0, 0, 0]
 
     def test_single_space_cell_is_its_address(self):
         engine = engine_for(6, "single")
-        engine.spaces[0].record_range(3, 2, "R")
+        for event in [("A", 1, 3), ("A", 2, 2), ("R", 2, 0, 2)]:
+            engine.process(event)
         report = engine.build_report()
         assert report.per_cell_reads == [0, 0, 0, 1, 1, 0]
         assert report.per_cell_writes == [0] * 6

@@ -10,16 +10,18 @@ ids back, often before the next collection.
 A few traces with few objects also run in memories of 2^20 and 2^21
 cells, where the engine's report is a handful of long runs, and one
 hand-built trace changes the counts in each space's partial last block.
+Traces with small live sets, in spaces of a few `SCAN_BLOCK`s, check that
+the blocks a report reads, those its epochs met, hold every change.
 """
 
 import re
-from itertools import count
+from itertools import chain, count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from reference_replayer import bisected_golden_shift, reference_replay
-from wearsim.engine import EngineConfig, SimulationError, replay
+from wearsim.engine import Engine, EngineConfig, SimulationError, replay
 from wearsim.memory import SCAN_BLOCK
 from wearsim.metrics import summarize
 from wearsim.policy import golden_shift, parse_policy
@@ -117,7 +119,9 @@ def assert_large_memory_runs(trace, mem, policy):
     return reference
 
 
-@pytest.mark.parametrize("policy", ["golden", "single"])
+# golden, fraction:0.3 and single give both rings the same starts in turn;
+# random:1 does not, so an epoch recorded with the wrong start shows there
+@pytest.mark.parametrize("policy", ["golden", "single", "random:1", "fraction:0.3"])
 @pytest.mark.parametrize("pattern, mem", [("loop", 2 ** 21), ("hotspot", 2 ** 20)])
 def test_runs_match_reference_in_large_memory(pattern, mem, policy):
     trace = generate(WorkloadSpec(pattern=pattern, object_count=6, op_count=300,
@@ -147,6 +151,57 @@ def test_runs_match_reference_at_the_last_block(policy):
         last_block = space + capacity // SCAN_BLOCK * SCAN_BLOCK
         assert any(counts[cell] != counts[cell - 1]
                    for cell in range(last_block, space + capacity))
+
+
+#: Traces whose live sets take a small part of a space of a few blocks.
+small_live_traces = st.builds(
+    WorkloadSpec,
+    pattern=st.sampled_from(PATTERNS),
+    object_count=st.integers(1, 12),
+    op_count=st.integers(1, 200),
+    mean_object_size=st.integers(1, 64),
+    gc_every=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+).map(generate)
+
+
+@settings(deadline=None)
+@given(trace=small_live_traces,
+       capacity=st.integers(2 * SCAN_BLOCK, 8 * SCAN_BLOCK),
+       kind=st.sampled_from(["golden", "quarter", "fraction:0.3", "none",
+                             "random", "single"]),
+       random_seed=st.integers(0, 1000), count_gc_traffic=st.booleans())
+# an epoch ends on a block's edge, and so do its write and its collection's read
+@example(trace=Trace([("A", 1, SCAN_BLOCK), ("W", 1, SCAN_BLOCK - 24, 24), ("G",)]),
+         capacity=2 * SCAN_BLOCK, kind="golden", random_seed=0, count_gc_traffic=True)
+# ring 1's third epoch starts at cell 6258 and wraps to cell 2070: its write
+# at cell 1100 lies past the seam, in a block no other epoch of ring 1 meets
+@example(trace=Trace([("A", 1, 4), ("G",), ("G",), ("G",), ("G",), ("G",),
+                      ("A", 2, 4000), ("W", 2, 3030, 10)]),
+         capacity=8 * SCAN_BLOCK, kind="golden", random_seed=0, count_gc_traffic=False)
+# random:0 gives ring 1 its second start, 6311, before ring 0's third epoch
+# ends; that epoch writes in block 3 of ring 0, which no other epoch meets
+@example(trace=Trace([("A", 1, 4), ("G",), ("G",), ("A", 2, 4000),
+                      ("W", 2, 3200, 8), ("G",)]),
+         capacity=8 * SCAN_BLOCK, kind="random", random_seed=0, count_gc_traffic=False)
+def test_report_reads_every_block_that_changed(trace, capacity, kind, random_seed,
+                                               count_gc_traffic):
+    """The report, which reads only the blocks its epochs met, holds each
+    space's runs read over the whole space, and agrees with the reference."""
+    policy = f"random:{random_seed}" if kind == "random" else kind
+    mem = 2 * capacity  # two rings, or one space of both
+    engine = Engine(EngineConfig(mem, parse_policy(policy),
+                                 count_gc_traffic=count_gc_traffic))
+    try:
+        for event in trace.events:
+            engine.process(event)
+    except SimulationError:
+        reject()  # a live set too large for the space
+    report = engine.build_report()
+    whole = [list(chain.from_iterable(column))
+             for column in zip(*(space.runs() for space in engine.spaces))]
+    assert [report.run_lengths, report.run_reads, report.run_writes] == whole
+    assert_same_counts(report, reference_replay(trace, mem, policy, count_gc_traffic))
 
 
 @given(st.integers(min_value=2, max_value=2**64))
