@@ -63,12 +63,41 @@ MUTANTS = [
            ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
             "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1000]",
             "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1001]")),
-    Mutant("percell: no run advance when a run ends at a block's end", METRICS,
+    Mutant("percell: a run that goes on into the next block skipped", METRICS,
            "i = j + (ends[j] == stop)",
-           "i = j",
+           "i = j + 1",
            ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
-            "tests/test_metrics.py::TestExport::test_addresses_that_gain_a_digit",
-            "tests/test_metrics.py::TestExport::test_percell_writes_in_bounded_blocks")),
+            "tests/test_metrics.py::TestExport::test_run_longer_than_a_block",
+            "tests/test_metrics.py::TestExport::test_addresses_that_gain_a_digit")),
+    # A block that one run fills: block 0 and a partial last block are not,
+    # and its kept rows serve only the next such block of the same text and
+    # prefix width.
+    Mutant("percell: block 0 taken as filled", METRICS,
+           "if i == j and start and n == PERCELL_BLOCK_CELLS:",
+           "if i == j and n == PERCELL_BLOCK_CELLS:",
+           ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1000]",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1001]")),
+    Mutant("percell: a partial last block taken as filled", METRICS,
+           "if i == j and start and n == PERCELL_BLOCK_CELLS:",
+           "if i == j and start:",
+           ("tests/test_metrics.py::TestExport::test_addresses_that_gain_a_digit",
+            "tests/test_metrics.py::TestExport::test_addresses_of_five_digit_blocks",
+            "tests/test_metrics.py::TestExport::test_percell_memories_about_a_block[False-1001]")),
+    Mutant("percell: filled rows kept across a prefix-width change", METRICS,
+           "key = (text, len(prefix))",
+           "key = text",
+           ("tests/test_metrics.py::TestExport::test_addresses_of_five_digit_blocks",)),
+    Mutant("percell: filled rows kept across a change of text", METRICS,
+           "key = (text, len(prefix))",
+           "key = len(prefix)",
+           ("tests/test_metrics.py::TestExport::test_percell_blocks_that_one_run_fills[texts-of-one-width]",)),
+    Mutant("percell: a prefix digit written one byte late", METRICS,
+           "rows[k::width] = _DIGITS[digit]",
+           "rows[k + 1::width] = _DIGITS[digit]",
+           ("tests/test_metrics.py::TestExport::test_percell_bytes_match_csv_writer",
+            "tests/test_metrics.py::TestExport::test_percell_blocks_that_one_run_fills[after-a-dense-block]",
+            "tests/test_metrics.py::TestExport::test_addresses_of_five_digit_blocks")),
     # Top-N over runs: at most n counts, and only two views over one lengths.
     Mutant("top-N: a run's count emitted once per cell, past n", METRICS,
            "repeat(count, min(length, n - len(top)))",
@@ -96,6 +125,13 @@ MUTANTS = [
            "if False:",
            ("tests/test_metrics.py::TestExport::test_percell_loads_one_run_per_run_written",)),
     # GC copies as ranges: one write from the first mover, one read per run.
+    # The live-cell total that a collection leaves in `used`.
+    Mutant("engine: a free leaves its cells in the live total", ENGINE,
+           "self.live_cells -= self.objects.pop(object_id).size_cells",
+           "self.objects.pop(object_id)",
+           ("tests/test_engine.py::TestAlloc::test_gc_makes_room_for_retry",
+            "tests/test_engine.py::TestAlloc::test_exact_fit_after_gc",
+            "tests/test_engine.py::TestGc::test_copy_preserves_base_order")),
     Mutant("gc ranges: the write from the space's start", ENGINE,
            "write_base = dest",
            "write_base = self.start",

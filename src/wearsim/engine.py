@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 from wearsim.memory import CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
@@ -101,6 +102,7 @@ class Engine:
         self.objects: dict[int, ObjectRecord] = {}
         self.start = 0  # base of the block compacted at the last collection
         self.used = 0   # that block's cells plus every cell allocated since
+        self.live_cells = 0  # the cells of the objects in `objects`
         self.epochs: list[tuple[int, int, int]] = []  # each ended: (space, start, used)
         self.gc_count = 0
         self.event_count = 0
@@ -120,9 +122,10 @@ class Engine:
         self.objects[object_id] = ObjectRecord(
             size_cells, (self.start + self.used) % self.capacity)
         self.used += size_cells
+        self.live_cells += size_cells
 
     def handle_free(self, object_id: int) -> None:
-        del self.objects[object_id]
+        self.live_cells -= self.objects.pop(object_id).size_cells
 
     def handle_access(self, object_id: int, offset: int, length: int,
                       kind: str) -> None:
@@ -135,7 +138,7 @@ class Engine:
         """Compact the live set into the next space from the policy's start,
         recording one write range and one read range per run of adjacent
         source objects (see "Wear accounting" above)."""
-        live = sorted(self.objects.values(), key=lambda r: r.base_cell)
+        live = sorted(self.objects.values(), key=attrgetter("base_cell"))
         source = self.work_ring
         target = (source + 1) % len(self.spaces)
         self.epochs.append((source, self.start, self.used))
@@ -166,7 +169,7 @@ class Engine:
                 write_base, sum(cells for _, cells in runs), "W")
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
-        self.used = sum(r.size_cells for r in live)
+        self.used = self.live_cells
         self.gc_count += 1
 
     def process(self, event: TraceEvent) -> None:

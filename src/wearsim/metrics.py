@@ -18,9 +18,12 @@ heapq.nlargest over the (count, length) runs of two such views, a report's
 or a loaded percell-csv's: it costs O(runs), however many cells they span.
 The percell-csv export writes one row per cell all the same, but builds
 them per block of 1000 addresses, whose rows differ only in their last
-three digits (in block 0, in the whole address) and in their runs' counts:
-C joins of cached strings, one per run in a block of few runs, one run
-included, and a fixed number in a denser block, not a str() per cell;
+three digits (in block 0, in the whole address) and in their runs' counts.
+A block past block 0 that one run fills has rows of one width that differ
+only in the digits of its prefix: it is a bytearray of rows built once per
+run text and prefix width, whose prefix digits are set by a strided slice
+assignment each.  Any other block is a join of cached strings, a fixed
+number of C calls however many runs it holds, not a str() per cell;
 load_percell_csv folds adjacent rows of like counts back into runs.
 
 Report formats, each written to a text sink:
@@ -250,46 +253,53 @@ def load_summary(source: TextIO) -> tuple[SummaryStats, dict]:
 PERCELL_BLOCK_CELLS = 1000
 _BLOCK_0 = [str(r) for r in range(PERCELL_BLOCK_CELLS)]
 _REMAINDERS = [f"{r:03}" for r in range(PERCELL_BLOCK_CELLS)]
-#: Fewer runs than this in a block are written as one join per run; more,
-#: as one list of rows (on CPython 3.11 the two cost the same near 100).
-_FEW_RUNS = 64
+#: Each ASCII digit, once for every row of a block.
+_DIGITS = {d: d.encode() * PERCELL_BLOCK_CELLS for d in "0123456789"}
 
 
 def write_percell_csv(report: WearReport, sink) -> None:
     # Each block is one write.  Its rows differ only in their remainders and
     # in their runs' text ",reads,writes\n", formatted once per distinct
-    # pair.  A block's runs are found by bisecting the run ends.  A block of
-    # few runs, one run included, is one join of its remainders per run.  A
-    # block of many runs is a list of three strings a row, prefix, remainder
-    # and text, filled by slice assignment: a fixed number of C calls,
-    # however many runs it holds.
+    # pair.  A block's runs are found by bisecting the run ends.  A full
+    # block past block 0 that one run fills is its text's rows under a blank
+    # prefix, built again only when the text or the prefix width changes,
+    # with each prefix digit set by one slice assignment of every width-th
+    # byte.  Any other block is a list of three strings a row, prefix,
+    # remainder and text, filled by slice assignment: a fixed number of C
+    # calls, however many runs it holds.
     sink.write("address,reads,writes\n")
     lengths, reads, writes = report.run_lengths, report.run_reads, report.run_writes
     texts = {(r, w): f",{r},{w}\n" for r, w in set(zip(reads, writes))}
     ends = list(accumulate(lengths))
     cells = ends[-1] if ends else 0
+    filled_key = None  # (text, prefix width) of `rows`
     i = 0  # the run that holds the block's first cell
     for start in range(0, cells, PERCELL_BLOCK_CELLS):
         stop = min(start + PERCELL_BLOCK_CELLS, cells)
         n = stop - start
-        # address 1000q + r is spelt prefix + table[r]
-        prefix, table = ((str(start // PERCELL_BLOCK_CELLS), _REMAINDERS) if start
-                         else ("", _BLOCK_0))
+        prefix = str(start // PERCELL_BLOCK_CELLS)
         j = bisect_right(ends, stop - 1, i)  # the run that holds its last cell
-        counts = lengths[i:j + 1]  # each run's cells in the block
-        counts[0] = ends[i] - start
-        counts[-1] -= ends[j] - stop
-        run_texts = map(texts.__getitem__, zip(reads[i:j + 1], writes[i:j + 1]))
-        if j - i < _FEW_RUNS:
-            pieces, r = [], 0
-            for text, count in zip(run_texts, counts):
-                pieces.append(prefix + (text + prefix).join(table[r:r + count]) + text)
-                r += count
+        if i == j and start and n == PERCELL_BLOCK_CELLS:
+            text = texts[reads[i], writes[i]]
+            key = (text, len(prefix))
+            if key != filled_key:
+                filled_key, pad = key, " " * len(prefix)
+                rows = bytearray((pad + (text + pad).join(_REMAINDERS) + text).encode())
+                width = len(rows) // PERCELL_BLOCK_CELLS
+            for k, digit in enumerate(prefix):
+                rows[k::width] = _DIGITS[digit]
+            sink.write(rows.decode("ascii"))
         else:
+            # address 1000q + r is spelt prefix + table[r]
+            prefix, table = (prefix, _REMAINDERS) if start else ("", _BLOCK_0)
+            counts = lengths[i:j + 1]  # each run's cells in the block
+            counts[0] = ends[i] - start
+            counts[-1] -= ends[j] - stop
+            run_texts = map(texts.__getitem__, zip(reads[i:j + 1], writes[i:j + 1]))
             pieces = [prefix] * (3 * n)
             pieces[1::3] = table[:n]
             pieces[2::3] = chain.from_iterable(map(repeat, run_texts, counts))
-        sink.write("".join(pieces))
+            sink.write("".join(pieces))
         i = j + (ends[j] == stop)  # the next block starts the next run
 
 

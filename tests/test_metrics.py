@@ -276,9 +276,27 @@ def assert_percell_round_trip(runs):
     report = report_of_runs(runs)
     sink = io.StringIO()
     write_percell_csv(report, sink)
-    assert sink.getvalue() == csv_writer_percell(report)
+    # as lists of lines, which pytest shows by their first difference: its
+    # diff of two texts that differ in many rows can run for an hour
+    assert (sink.getvalue().splitlines(keepends=True)
+            == csv_writer_percell(report).splitlines(keepends=True))
     reads, writes = load_percell_csv(io.StringIO(sink.getvalue()))
     assert (reads, writes) == cells_of(runs)
+
+
+class RowsFrom:
+    """A text sink that counts the rows written after the header and keeps
+    them from row `first` on, so that a report of millions of rows is
+    checked without being held."""
+
+    def __init__(self, first):
+        self.first, self.row, self.kept = first, -1, []  # the header is row -1
+
+    def write(self, text):
+        count = text.count("\n")
+        if self.row + count > self.first:
+            self.kept += text.splitlines()[max(self.first - self.row, 0):]
+        self.row += count
 
 
 def make_report(reads, writes, mode=CountingMode.ACCESSES):
@@ -336,6 +354,25 @@ class TestExport:
         # last: pytest takes minutes to show how two million-row texts differ
         assert text == csv_writer_percell(report)
 
+    # Blocks past block 0 that one run fills: two in turn whose texts have
+    # one width, and one after a dense block that ends in its text.
+    @pytest.mark.parametrize("runs", [
+        [(1000, 0, 0), (1000, 1, 0), (1000, 2, 0)],
+        [(1000, 0, 0), (1500, 1, 0), (1, 2, 2), (1499, 1, 0)],
+    ], ids=["texts-of-one-width", "after-a-dense-block"])
+    def test_percell_blocks_that_one_run_fills(self, runs):
+        assert_percell_round_trip(runs)
+
+    def test_addresses_of_five_digit_blocks(self):
+        # one run fills blocks 9999 and 10000, whose prefixes differ in
+        # width, and ends in a partial block
+        cells = 10_001_007
+        first = 9_998_500
+        sink = RowsFrom(first)
+        write_percell_csv(report_of_runs([(cells, 3, 1)]), sink)
+        assert sink.row == cells
+        assert sink.kept == [f"{a},3,1" for a in range(first, cells)]
+
     def test_percell_writes_in_bounded_blocks(self):
         # blocks 1 and 2 lie inside one run each, block 0 holds two runs and
         # block 3 a run per cell
@@ -347,7 +384,7 @@ class TestExport:
         write_percell_csv(report, sink)
         rows = [call.args[0].count("\n") for call in sink.write.call_args_list]
         assert sum(rows) == 1 + 4 * block + 5  # the header and every cell
-        # the header, then a write per block, of one run, few or many
+        # the header, then a write per block, whether one run fills it or not
         assert rows == [1, block, block, block, block, 5]
 
     # Runs of 1-3 cells over 2-4 blocks, split at one inner block bound so
