@@ -9,9 +9,11 @@ node ids that must fail.  For each mutant the runner copies src/, tests/
 and pyproject.toml into a temporary directory, replaces the old text
 there, and runs the named tests with `-p no:cacheprovider` and a fixed
 `--hypothesis-seed`.  It prints a line per mutant and exits 1 if a mutant
-survives, that is, if any of its tests passes, or if a mutant is stale,
-its old text not found exactly once in its file.  A stale mutant is to be
-restated for the code that replaced its text, not dropped.
+survives, that is, if any of its tests passes, if a mutant is stale, its
+old text not found exactly once in its file, or if a mutant's tests, or
+the unmutated run of every named test, run past `TIMEOUT_S` seconds.  A
+stale mutant is to be restated for the code that replaced its text, not
+dropped.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 HYPOTHESIS_SEED = 1
+#: Seconds that one pytest run may take: a mutant's tests, or the unmutated
+#: run of every named test.  The slowest mutant took 37 s, the unmutated run
+#: 14 s, on a shared 2-vCPU host.
+TIMEOUT_S = 300
+TIMED_OUT = f"timed out after {TIMEOUT_S} s"
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,9 @@ MUTANTS = [
            "if counts == last:",
            "if False:",
            ("tests/test_metrics.py::TestExport::test_percell_loads_one_run_per_run_written",)),
-    # GC copies as ranges: one write from the first mover, one read per run.
-    # The live-cell total that a collection leaves in `used`.
+    # GC copies as ranges: one write of the movers' cells, one read per run
+    # of movers, and which objects move.  The live-cell total that a
+    # collection leaves in `used`.
     Mutant("engine: a free leaves its cells in the live total", ENGINE,
            "self.live_cells -= self.objects.pop(object_id).size_cells",
            "self.objects.pop(object_id)",
@@ -133,10 +141,25 @@ MUTANTS = [
             "tests/test_engine.py::TestAlloc::test_exact_fit_after_gc",
             "tests/test_engine.py::TestGc::test_copy_preserves_base_order")),
     Mutant("gc ranges: the write from the space's start", ENGINE,
-           "write_base = dest",
-           "write_base = self.start",
+           "(dest - moved) % self.capacity",
+           "self.start",
            ("tests/test_engine.py::TestGcRanges::test_ranges[tail-True]",
             "tests/test_oracle.py::test_engine_matches_reference[single-True]")),
+    Mutant("gc: an object already in place is copied", ENGINE,
+           "if base != dest or source != target:",
+           "if True:",
+           ("tests/test_engine.py::TestGcRanges::test_ranges[tail-True]",
+            "tests/test_engine.py::TestSingleSpace::test_unmoved_object_records_nothing",
+            "tests/test_oracle.py::test_engine_matches_reference[single-True]",
+            "tests/test_oracle.py::test_collections_match_reference[single]",
+            "tests/test_oracle.py::test_collections_of_a_single_space_match_reference")),
+    Mutant("gc: an object at its destination's cell in the other ring is not copied",
+           ENGINE,
+           "if base != dest or source != target:",
+           "if base != dest:",
+           ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
+            "tests/test_oracle.py::test_engine_matches_reference[none-True]",
+            "tests/test_oracle.py::test_collections_match_reference[none]")),
     Mutant("gc ranges: one read merging every source", ENGINE,
            "if base == end:",
            "if runs:",
@@ -231,7 +254,8 @@ class Stale(Exception):
 
 def failing(tests: tuple[str, ...], mutant: Mutant | None = None) -> set[str]:
     """Copy the tree, apply the mutant if one is given, run the tests; the
-    node ids of those that failed."""
+    node ids of those that failed.  Raises `subprocess.TimeoutExpired` if
+    they run past `TIMEOUT_S`."""
     with tempfile.TemporaryDirectory(prefix="wearsim-mutant-") as tmp:
         for name in COPIED:
             source, target = ROOT / name, Path(tmp, name)
@@ -252,7 +276,7 @@ def failing(tests: tuple[str, ...], mutant: Mutant | None = None) -> set[str]:
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
              f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests],
-            cwd=tmp, env=env, capture_output=True, text=True)
+            cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     if result.returncode not in (0, 1):  # 1: tests failed; else no tests ran
         raise RuntimeError(f"pytest exited {result.returncode}:\n"
                            f"{result.stdout}{result.stderr}")
@@ -263,15 +287,20 @@ def main() -> int:
     # Each named test must pass on the tree as it is, or its failure under a
     # mutant would show nothing.
     named = tuple(dict.fromkeys(test for m in MUTANTS for test in m.tests))
-    broken = failing(named)
-    for test in sorted(broken):
-        print(f"FAILED  unmutated: {test}")
+    try:
+        broken = sorted(failing(named))
+    except subprocess.TimeoutExpired:
+        broken = [TIMED_OUT]
+    for problem in broken:
+        print(f"FAILED  unmutated: {problem}", flush=True)
     bad = len(broken)
     for mutant in MUTANTS:
         try:
             passed = [t for t in mutant.tests if t not in failing(mutant.tests, mutant)]
         except Stale as err:
             problem = f"stale: {err}"
+        except subprocess.TimeoutExpired:
+            problem = TIMED_OUT
         else:
             problem = f"survived: {', '.join(passed)} passed" if passed else None
         bad += problem is not None

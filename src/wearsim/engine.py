@@ -21,12 +21,13 @@ the trace: an object larger than a space, or no room after a collection;
 `replay` prefixes the failing event's index.
 
 Wear accounting: application reads and writes touch exactly the cells
-they name.  When GC traffic is counted, every relocated cell costs one
-read at its source and one write at its destination; an object that
-already sits at its destination costs nothing, which only happens in a
-single space.  A collection records one write range, from the first
-object that moves to the end of the compacted block, and one read range
-per run of adjacent source objects.  Allocation, freeing, and the
+they name.  A collection moves an object unless it already sits at its
+destination in its own space, so with two rings every object moves, and
+in a single space the objects before the first gap stay and all after
+it slide.  When GC traffic is counted, every moved cell costs one read
+at its source and one write at its destination: a collection records one
+read range per run of adjacent movers, and one write range, the movers'
+cells at the end of the compacted block.  Allocation, freeing, and the
 post-collection clean of the old work space touch no cells at all.
 
 An epoch is the run of events between two collections.  Its accesses,
@@ -89,7 +90,8 @@ class Engine:
     """Replays one trace; confine each instance to a single run.
 
     The counters in `spaces` are written only through the handlers below:
-    `build_report` reads them only where the epochs lay.
+    `build_report` reads them only where the epochs lay.  Each collection
+    is kept once, as the `epochs` entry of the epoch it ends.
     """
 
     def __init__(self, config: EngineConfig):
@@ -104,7 +106,6 @@ class Engine:
         self.used = 0   # that block's cells plus every cell allocated since
         self.live_cells = 0  # the cells of the objects in `objects`
         self.epochs: list[tuple[int, int, int]] = []  # each ended: (space, start, used)
-        self.gc_count = 0
         self.event_count = 0
 
     def handle_alloc(self, object_id: int, size_cells: int) -> None:
@@ -137,40 +138,34 @@ class Engine:
     def handle_gc(self) -> None:
         """Compact the live set into the next space from the policy's start,
         recording one write range and one read range per run of adjacent
-        source objects (see "Wear accounting" above)."""
+        source objects that move (see "Wear accounting" above)."""
         live = sorted(self.objects.values(), key=attrgetter("base_cell"))
         source = self.work_ring
         target = (source + 1) % len(self.spaces)
         self.epochs.append((source, self.start, self.used))
         self.start = dest = self.policy_state.take(target)
-        first = 0
-        if source == target:
-            # a single space: the start is 0 and no object wraps the seam;
-            # objects stay up to the first that moves, and all later ones move
-            while first < len(live) and live[first].base_cell == dest:
-                dest += live[first].size_cells
-                first += 1
-        write_base = dest
-        runs: list[list[int]] = []  # [base, cells] of each run of adjacent sources
+        moved = 0
+        runs: list[list[int]] = []  # [base, cells] of each run of adjacent movers
         end = None  # just past the last run, unwrapped: no later base is past the seam
-        for record in live[first:]:
+        for record in live:
             base, size = record.base_cell, record.size_cells
-            if base == end:
-                runs[-1][1] += size
-            else:
-                runs.append([base, size])
-            end = base + size
-            record.base_cell = dest
+            if base != dest or source != target:
+                if base == end:
+                    runs[-1][1] += size
+                else:
+                    runs.append([base, size])
+                end = base + size
+                moved += size
+                record.base_cell = dest
             dest = (dest + size) % self.capacity
-        if self.config.count_gc_traffic and runs:
+        if self.config.count_gc_traffic and moved:
             for base, cells in runs:
                 self.spaces[source].record_range(base, cells, "R")
-            self.spaces[target].record_range(
-                write_base, sum(cells for _, cells in runs), "W")
+            # the movers' cells end the compacted block
+            self.spaces[target].record_range((dest - moved) % self.capacity, moved, "W")
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
         self.used = self.live_cells
-        self.gc_count += 1
 
     def process(self, event: TraceEvent) -> None:
         """Apply one event of a trace that passes `validate_trace`.
@@ -207,7 +202,7 @@ class Engine:
             mem_size_cells=self.config.mem_size_cells,
             counting_mode=mode,
             count_gc_traffic=self.config.count_gc_traffic,
-            gc_count=self.gc_count,
+            gc_count=len(self.epochs),
             event_count=self.event_count,
             run_lengths=lengths,
             run_reads=reads,

@@ -14,9 +14,9 @@ updates, four when it wraps the seam, whatever its length.  A cell's
 count is the prefix sum of that array up to the cell.  The counts are
 read only as runs of equal (reads, writes): a run starts wherever either
 array is nonzero.  Finding the runs costs one C slice comparison per block
-of `SCAN_BLOCK` cells that the given spans meet, the whole ring when none
-are given, and a per-cell scan only of the blocks that hold a nonzero
-delta; everything after that grows with the number of runs, not of cells.
+of `SCAN_BLOCK` cells that the given spans meet, and a per-cell scan only
+of the blocks that hold a nonzero delta; everything after that grows with
+the number of runs, not of cells.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class CellCounters:
             deltas[0] += 1
             deltas[end - size] -= 1
 
-    def runs(self, spans: list[tuple[int, int]] | None = None
+    def runs(self, spans: list[tuple[int, int]]
              ) -> tuple[list[int], list[int], list[int]]:
         """The counts as runs of cells with equal (reads, writes), cell 0 first.
 
@@ -82,15 +82,15 @@ class CellCounters:
         deltas are all zero costs one slice comparison per kind, and only
         the others are scanned cell by cell.
 
-        `spans`, if given, lists (start, cells) arcs of the ring, which may
-        wrap the seam, such that every range recorded lies inside one of
-        them; only the blocks that meet an arc or the cell just past it are
-        read.  None reads every block.
+        `spans` lists (start, cells) arcs of the ring, which may wrap the
+        seam, such that every range recorded lies inside one of them; only
+        the blocks that meet an arc or the cell just past it are read.
+        `[(0, size_cells)]` reads every block.
         """
         size = self.size_cells
         reads, writes = self._deltas["R"], self._deltas["W"]
         scan = bytearray(-(-size // SCAN_BLOCK))  # 1 for each block to read
-        for start, cells in [(0, size)] if spans is None else spans:
+        for start, cells in spans:
             last = start + cells  # the cell just past the arc, unwrapped
             first, stop = start // SCAN_BLOCK, min(last, size - 1) // SCAN_BLOCK + 1
             scan[first:stop] = b"\1" * (stop - first)

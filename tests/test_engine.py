@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from invariants import assert_disjoint_live, assert_post_gc_invariants
 from reference_replayer import reference_replay
-from test_memory import cell_counts
+from test_memory import cell_counts, whole_runs
 from test_oracle import assert_same_counts, mem_divisors, specs
 from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig, SimulationError,
                             replay)
@@ -21,7 +21,7 @@ def engine_for(mem=20, policy="golden"):
 def cell_total(engine):
     """Reads plus writes over every cell of every space."""
     return sum(length * (reads + writes) for space in engine.spaces
-               for length, reads, writes in zip(*space.runs()))
+               for length, reads, writes in zip(*whole_runs(space)))
 
 
 class TestConfig:
@@ -65,14 +65,14 @@ class TestAlloc:
         with pytest.raises(SimulationError, match="cannot allocate 5 cells for "
                            "object 2: 8 cells live, 2 free"):
             engine.handle_alloc(2, 5)
-        assert engine.gc_count == 1  # one collection was attempted first
+        assert len(engine.epochs) == 1  # one collection was attempted first
 
     def test_gc_makes_room_for_retry(self):
         engine = engine_for(20)
         engine.handle_alloc(1, 6)
         engine.handle_free(1)
         engine.handle_alloc(2, 6)  # only fits once the dead cells are reclaimed
-        assert engine.gc_count == 1
+        assert len(engine.epochs) == 1
         assert 2 in engine.objects
 
     def test_exact_fit_after_gc(self):
@@ -80,7 +80,7 @@ class TestAlloc:
         engine.handle_alloc(1, 4)
         engine.handle_free(1)
         engine.handle_alloc(2, 10)  # the whole ring, free only after the GC
-        assert engine.gc_count == 1
+        assert len(engine.epochs) == 1
         assert engine.used == engine.capacity
 
     def test_id_reuse_after_free(self):
@@ -110,7 +110,7 @@ class TestFree:
         engine.handle_free(1)
         engine.handle_gc()
         assert cell_total(engine) == 0
-        assert engine.gc_count == 1
+        assert len(engine.epochs) == 1
         assert engine.work_ring == 1  # roles still swap on an empty collection
 
 
@@ -170,7 +170,7 @@ class TestGc:
     def test_empty_collection(self):
         engine = engine_for(20)
         engine.handle_gc()
-        assert engine.gc_count == 1
+        assert len(engine.epochs) == 1
         assert engine.used == 0
         assert cell_total(engine) == 0
         assert engine.work_ring == 1
@@ -284,12 +284,12 @@ class TestGcRanges:
             for event in trace.events:
                 before = {object_id: (r.base_cell, r.size_cells)
                           for object_id, r in engine.objects.items()}
-                source, gc_count = engine.work_ring, engine.gc_count
+                source, gc_count = engine.work_ring, len(engine.epochs)
                 try:
                     engine.process(event)
                 except SimulationError:
                     return
-                if engine.gc_count == gc_count:
+                if len(engine.epochs) == gc_count:
                     continue
                 # an object moves unless it keeps its space and its base; an
                 # allocation that forced the collection comes after it
@@ -474,11 +474,11 @@ class TestReplay:
         mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
         engine = Engine(EngineConfig(mem, parse_policy(policy)))
         for event in trace.events:
-            gc_count = engine.gc_count
+            gc_count = len(engine.epochs)
             try:
                 engine.process(event)
             except SimulationError:
                 return
             assert_disjoint_live(engine)
-            if engine.gc_count > gc_count:
+            if len(engine.epochs) > gc_count:
                 assert_post_gc_invariants(engine)

@@ -351,8 +351,10 @@ class TestExport:
         assert rows[99999:100002] == ["99999,3,3", "100000,3,3", "100001,0,0"]
         assert rows[999999:] == ["999999,0,0", "1000000,7,1", "1000001,7,1",
                                  "1000002,7,1", "1000003,7,1", "1000004,7,1"]
-        # last: pytest takes minutes to show how two million-row texts differ
-        assert text == csv_writer_percell(report)
+        # as lists of lines, which pytest shows by their first difference: its
+        # diff of two million-row texts that differ in many rows takes minutes
+        assert (text.splitlines(keepends=True)
+                == csv_writer_percell(report).splitlines(keepends=True))
 
     # Blocks past block 0 that one run fills: two in turn whose texts have
     # one width, and one after a dense block that ends in its text.

@@ -12,15 +12,20 @@ cells, where the engine's report is a handful of long runs, and one
 hand-built trace changes the counts in each space's partial last block.
 Traces with small live sets, in spaces of a few `SCAN_BLOCK`s, check that
 the blocks a report reads, those its epochs met, hold every change.
+Traces with frees check each collection on its own: the cells it leaves
+live and the cells it moves.
 """
 
 import re
+from dataclasses import replace
+from functools import partial
 from itertools import chain, count
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from reference_replayer import bisected_golden_shift, reference_replay
+from test_memory import whole_runs
 from wearsim.engine import Engine, EngineConfig, SimulationError, replay
 from wearsim.memory import SCAN_BLOCK
 from wearsim.metrics import summarize
@@ -107,6 +112,70 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
             reference(trace.events[:index + 1])
         return
     assert_same_counts(report, reference(trace.events))
+
+
+def collections_of(trace, mem, policy):
+    """The engine's (used, write lengths) just after each collection, with GC
+    traffic on, and the reference's (live size, [moved cells]), up to the
+    event that runs out of memory, if any."""
+    engine = Engine(EngineConfig(mem, parse_policy(policy)))
+    writes: list[int] = []
+    collections: list[tuple[int, list[int]]] = []
+
+    def record_range(inner, base, cells, kind):
+        if kind == "W":
+            writes.append(cells)
+        inner(base, cells, kind)
+
+    def handle_gc(inner=engine.handle_gc):
+        writes.clear()
+        inner()
+        collections.append((engine.used, writes[:]))
+
+    # instance attributes: the engine looks its handlers up per call
+    for space in engine.spaces:
+        space.record_range = partial(record_range, space.record_range)
+    engine.handle_gc = handle_gc
+    events = trace.events
+    for index, event in enumerate(events):
+        done = len(collections)
+        try:
+            engine.process(event)
+        except SimulationError:
+            del collections[done:]
+            events = events[:index]
+            break
+    reference = reference_replay(Trace(events), mem, policy)
+    return collections, [(live, [moved] if moved else [])
+                         for live, moved in zip(reference.gc_live_sizes,
+                                                reference.gc_moved_cells)]
+
+
+#: The only generated traces that free objects.
+churn_specs = specs.map(lambda spec: replace(spec, pattern="churn"))
+
+
+@pytest.mark.parametrize(
+    "kind", ["golden", "quarter", "fraction:0.3", "none", "random", "single"])
+@settings(max_examples=25, deadline=None)
+@given(spec=churn_specs, mem_divisor=mem_divisors, random_seed=st.integers(0, 1000))
+def test_collections_match_reference(kind, spec, mem_divisor, random_seed):
+    """After each collection of a trace with frees, `used` is the live size,
+    and the one write range, if any, is as long as the cells that moved."""
+    policy = f"random:{random_seed}" if kind == "random" else kind
+    trace = generate(spec)
+    mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
+    engine, reference = collections_of(trace, mem, policy)
+    assert engine == reference
+
+
+def test_collections_of_a_single_space_match_reference():
+    # 144 of the 200 collections keep some objects in place and move others
+    trace = generate(WorkloadSpec("churn", 64, 20000, seed=1))
+    engine, reference = collections_of(
+        trace, trace.header.suggested_mem_size_cells, "single")
+    assert engine == reference
+    assert any(0 < sum(moved) < live for live, moved in engine)
 
 
 def assert_large_memory_runs(trace, mem, policy):
@@ -199,7 +268,7 @@ def test_report_reads_every_block_that_changed(trace, capacity, kind, random_see
         reject()  # a live set too large for the space
     report = engine.build_report()
     whole = [list(chain.from_iterable(column))
-             for column in zip(*(space.runs() for space in engine.spaces))]
+             for column in zip(*map(whole_runs, engine.spaces))]
     assert [report.run_lengths, report.run_reads, report.run_writes] == whole
     assert_same_counts(report, reference_replay(trace, mem, policy, count_gc_traffic))
 
