@@ -52,6 +52,7 @@ class Mutant:
 
 METRICS = "src/wearsim/metrics.py"
 ENGINE = "src/wearsim/engine.py"
+MEMORY = "src/wearsim/memory.py"
 TRACE_GRAMMAR = ("re.compile(r\"(?:G|F \\d+|A \\d+ 0*[1-9]\\d*|"
                  "[RW] \\d+ \\d+ 0*[1-9]\\d*)\\r?\",\n                        re.ASCII)")
 
@@ -165,14 +166,34 @@ MUTANTS = [
            "if runs:",
            ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
             "tests/test_engine.py::TestGcRanges::test_one_write_and_one_read_per_run")),
+    # The counters: one difference array in which a write counts 2**64, so
+    # a cell's sum is its reads plus 2**64 times its writes.
+    Mutant("counters: a write unit smaller than the reads it sits above", MEMORY,
+           '"W": 1 << 64',
+           '"W": 1 << 4',
+           ("tests/test_memory.py::TestRecordRange::test_many_reads_under_few_writes_stay_exact",
+            "tests/test_memory.py::TestRecordRange::test_read_and_write_both_wrapping_the_seam",
+            "tests/test_memory.py::TestRecordRange::test_every_range_of_small_rings[write]")),
+    Mutant("counters: writes decoded with the wrong shift", MEMORY,
+           "map(rshift, counts, repeat(64))",
+           "map(rshift, counts, repeat(63))",
+           ("tests/test_memory.py::TestRecordRange::test_many_reads_under_few_writes_stay_exact",
+            "tests/test_memory.py::TestRecordRange::test_runs_split_where_either_kind_changes",
+            "tests/test_memory.py::TestRecordRange::test_conservation_and_wrap")),
+    Mutant("counters: a run starts only where the packed delta is positive", MEMORY,
+           "compress(range(lo, hi), block)",
+           "compress(range(lo, hi), map((0).__lt__, block))",
+           ("tests/test_memory.py::TestRecordRange::test_write_ending_where_a_read_starts",
+            "tests/test_memory.py::TestRecordRange::test_read_and_write_both_wrapping_the_seam",
+            "tests/test_memory.py::TestRecordRange::test_every_range_of_small_rings[read]")),
     # runs(): the blocks of SCAN_BLOCK cells it skips or scans.
-    Mutant("runs: a block's last cell left unscanned", "src/wearsim/memory.py",
+    Mutant("runs: a block's last cell left unscanned", MEMORY,
            "hi = min(lo + SCAN_BLOCK, size)",
            "hi = min(lo + SCAN_BLOCK - 1, size)",
            ("tests/test_memory.py::test_runs_across_scan_blocks",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
-    Mutant("runs: the partial last block dropped", "src/wearsim/memory.py",
+    Mutant("runs: the partial last block dropped", MEMORY,
            "compress(range(0, size, SCAN_BLOCK), scan)",
            "compress(range(0, size - size % SCAN_BLOCK, SCAN_BLOCK), scan)",
            ("tests/test_memory.py::test_runs_across_scan_blocks",
@@ -181,11 +202,11 @@ MUTANTS = [
     # The report reads only the blocks its epochs met: each epoch's arc and
     # the cell just past it, on both sides of the seam, every epoch included.
     Mutant("report spans: an arc's blocks end before the cell just past it",
-           "src/wearsim/memory.py",
+           MEMORY,
            "last = start + cells",
            "last = start + cells - 1",
            ("tests/test_oracle.py::test_report_reads_every_block_that_changed",)),
-    Mutant("report spans: the piece past the seam dropped", "src/wearsim/memory.py",
+    Mutant("report spans: the piece past the seam dropped", MEMORY,
            "if last > size:",
            "if False:",
            ("tests/test_oracle.py::test_report_reads_every_block_that_changed",)),

@@ -56,7 +56,7 @@ class SimulationError(Exception):
     room after a collection.  `process` also raises it for an unknown event."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectRecord:
     """An object of the live set: its size and its base cell in the work space."""
 
@@ -64,8 +64,8 @@ class ObjectRecord:
     base_cell: int
 
 
-#: Largest memory an engine accepts.  Its counters take two 8-byte slots
-#: per cell, 16 B, so 1 GiB at this limit.
+#: Largest memory an engine accepts.  Its counters take one 8-byte list
+#: slot per cell, so 0.5 GiB at this limit.
 MAX_MEM_CELLS = 2 ** 26
 
 
@@ -83,7 +83,7 @@ class EngineConfig:
             raise ValueError(
                 f"mem_size_cells {self.mem_size_cells} exceeds the limit of "
                 f"{MAX_MEM_CELLS} cells: its counters would need "
-                f"{self.mem_size_cells * 16 / 2 ** 30:.1f} GiB")
+                f"{self.mem_size_cells * 8 / 2 ** 30:.1f} GiB")
 
 
 class Engine:
@@ -101,6 +101,7 @@ class Engine:
         self.spaces = [CellCounters(self.capacity) for _ in range(space_count)]
         self.policy_state = PolicyState(config.policy, self.capacity)
         self.work_ring = 0
+        self.work_space = self.spaces[0]  # the counters of `work_ring`
         self.objects: dict[int, ObjectRecord] = {}
         self.start = 0  # base of the block compacted at the last collection
         self.used = 0   # that block's cells plus every cell allocated since
@@ -132,7 +133,7 @@ class Engine:
                       kind: str) -> None:
         """Record a read ("R") or write ("W") of part of an object."""
         record = self.objects[object_id]
-        self.spaces[self.work_ring].record_range(
+        self.work_space.record_range(
             (record.base_cell + offset) % self.capacity, length, kind)
 
     def handle_gc(self) -> None:
@@ -165,6 +166,7 @@ class Engine:
             self.spaces[target].record_range((dest - moved) % self.capacity, moved, "W")
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
+        self.work_space = self.spaces[target]
         self.used = self.live_cells
 
     def process(self, event: TraceEvent) -> None:
@@ -176,12 +178,12 @@ class Engine:
         """
         # handlers are looked up per call, so wrappers set on the class see all
         opcode = event[0]
-        if opcode == "A":
+        if opcode == "R" or opcode == "W":  # most events of most traces
+            self.handle_access(event[1], event[2], event[3], opcode)
+        elif opcode == "A":
             self.handle_alloc(event[1], event[2])
         elif opcode == "F":
             self.handle_free(event[1])
-        elif opcode == "R" or opcode == "W":
-            self.handle_access(event[1], event[2], event[3], opcode)
         elif opcode == "G":
             self.handle_gc()
         else:

@@ -7,42 +7,52 @@ single-space baseline).  Counters only ever increase; nothing here
 models data contents, timing, or device internals, because wear is
 decided purely by how often each cell is touched.
 
-Each access kind is kept as a difference array (Blelloch 1990, "Prefix
-Sums and Their Applications"), keyed by the trace opcode that names the
-kind: "R" for reads, "W" for writes.  Recording a range costs two O(1)
-updates, four when it wraps the seam, whatever its length.  A cell's
-count is the prefix sum of that array up to the cell.  The counts are
-read only as runs of equal (reads, writes): a run starts wherever either
-array is nonzero.  Finding the runs costs one C slice comparison per block
-of `SCAN_BLOCK` cells that the given spans meet, and a per-cell scan only
-of the blocks that hold a nonzero delta; everything after that grows with
-the number of runs, not of cells.
+Both access kinds share one difference array (Blelloch 1990, "Prefix
+Sums and Their Applications"): a read range adds 1 at its first cell and
+subtracts 1 just past its end, and a write range does the same with
+2^64, the unit of the trace opcode "W".  The prefix sum up to a cell is
+then its reads plus 2^64 times its writes.  That packing is exact, since
+no cell takes 2^64 read ranges, so the reads never carry into the
+writes; for the same reason a packed delta is 0 only where both kinds'
+deltas are 0.  Recording a range costs two O(1) updates, four when it
+wraps the seam, whatever its length.  The counts are read only as runs
+of equal (reads, writes): a run starts wherever the packed delta is
+nonzero.  Finding the runs costs one C slice comparison per block of
+`SCAN_BLOCK` cells that the given spans meet, and a per-cell scan only
+of the blocks that hold a nonzero delta; everything after that grows
+with the number of runs, not of cells.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, islice
-from operator import or_, sub
+from itertools import accumulate, compress, islice, repeat
+from operator import and_, rshift, sub
 
 SCAN_BLOCK = 1024  # cells per block that `runs` skips when all its deltas are 0
 _ZERO_BLOCK = [0] * SCAN_BLOCK
+_UNITS = {"R": 1, "W": 1 << 64}  # what a range of each kind adds to its cells
+_READS = (1 << 64) - 1  # the bits of a packed count that hold the reads
 
 
 class CellCounters:
     """Read and write counters for one space of cells.
 
-    Each kind is a difference array of `size_cells + 1` entries: a range
-    adds 1 at its first cell and subtracts 1 just past its last, so the
-    running sum up to cell c is c's count.  The extra entry takes the -1
-    of a range that ends at the last cell.  `runs` builds fresh lists on
-    each call and leaves the counters as they are.
+    One difference array of `size_cells + 1` entries holds both kinds: a
+    range adds its kind's unit, 1 for a read and 2^64 for a write, at its
+    first cell and subtracts it just past its last, so the running sum up
+    to cell c is c's reads plus 2^64 times its writes.  Reads stay below
+    2^64 on any trace, so the sum never carries from one kind into the
+    other, and a delta is 0 only where neither kind's count changes.  The
+    extra entry takes the unit of a range that ends at the last cell.
+    `runs` builds fresh lists on each call and leaves the counters as
+    they are.
     """
 
     def __init__(self, size_cells: int):
         if size_cells < 1:
             raise ValueError(f"size_cells must be >= 1, got {size_cells}")
         self.size_cells = size_cells
-        self._deltas = {"R": [0] * (size_cells + 1), "W": [0] * (size_cells + 1)}
+        self._deltas = [0] * (size_cells + 1)
 
     def record_range(self, base_cell: int, len_cells: int, kind: str) -> None:
         """Add one access of `kind` to each of `len_cells` cells from `base_cell`.
@@ -51,36 +61,38 @@ class CellCounters:
         ring would overlap itself, so it is rejected.
         """
         size = self.size_cells
-        if not 0 <= base_cell < size:
-            raise ValueError(f"base_cell {base_cell} outside ring of {size} cells")
-        if len_cells < 1:
-            raise ValueError(f"len_cells must be >= 1, got {len_cells}")
-        if len_cells > size:
+        if not (0 <= base_cell < size and 1 <= len_cells <= size):
+            if not 0 <= base_cell < size:
+                raise ValueError(f"base_cell {base_cell} outside ring of {size} cells")
+            if len_cells < 1:
+                raise ValueError(f"len_cells must be >= 1, got {len_cells}")
             raise ValueError(f"range of {len_cells} cells exceeds ring size {size}")
         try:
-            deltas = self._deltas[kind]
+            unit = _UNITS[kind]
         except KeyError:
             raise ValueError(f"access kind must be 'R' or 'W', got {kind!r}") from None
+        deltas = self._deltas
         end = base_cell + len_cells
-        deltas[base_cell] += 1
+        deltas[base_cell] += unit
         if end <= size:
-            deltas[end] -= 1
+            deltas[end] -= unit
         else:  # two pieces: [base_cell, size) and [0, end - size)
-            deltas[size] -= 1
-            deltas[0] += 1
-            deltas[end - size] -= 1
+            deltas[size] -= unit
+            deltas[0] += unit
+            deltas[end - size] -= unit
 
     def runs(self, spans: list[tuple[int, int]]
              ) -> tuple[list[int], list[int], list[int]]:
         """The counts as runs of cells with equal (reads, writes), cell 0 first.
 
         Returns the runs' lengths, and the reads and the writes of each of
-        their cells.  A run starts at cell 0 and wherever either difference
-        array is nonzero, which is where the pair changes, so adjacent runs
-        differ; its counts are the running sum of the deltas at the starts.
-        The arrays are read in blocks of `SCAN_BLOCK` cells: a block whose
-        deltas are all zero costs one slice comparison per kind, and only
-        the others are scanned cell by cell.
+        their cells.  A run starts at cell 0 and wherever the packed delta
+        is nonzero, which is where the pair changes, so adjacent runs
+        differ; its counts are the running sum of the deltas at the starts,
+        split into its low 64 bits and the rest.  The array is read in
+        blocks of `SCAN_BLOCK` cells: a block whose deltas are all zero
+        costs one slice comparison, and only the others are scanned cell by
+        cell.
 
         `spans` lists (start, cells) arcs of the ring, which may wrap the
         seam, such that every range recorded lies inside one of them; only
@@ -88,7 +100,7 @@ class CellCounters:
         `[(0, size_cells)]` reads every block.
         """
         size = self.size_cells
-        reads, writes = self._deltas["R"], self._deltas["W"]
+        deltas = self._deltas
         scan = bytearray(-(-size // SCAN_BLOCK))  # 1 for each block to read
         for start, cells in spans:
             last = start + cells  # the cell just past the arc, unwrapped
@@ -102,12 +114,13 @@ class CellCounters:
             # the entry at `size` starts no run; a short last block never
             # equals the zero block, so it is always scanned
             hi = min(lo + SCAN_BLOCK, size)
-            r, w = reads[lo:hi], writes[lo:hi]
-            if r != _ZERO_BLOCK or w != _ZERO_BLOCK:
-                starts.extend(compress(range(lo, hi), map(or_, r, w)))
+            block = deltas[lo:hi]
+            if block != _ZERO_BLOCK:
+                starts.extend(compress(range(lo, hi), block))
         if not starts or starts[0]:
             starts.insert(0, 0)
         lengths = list(map(sub, [*islice(starts, 1, None), size], starts))
+        counts = list(accumulate(map(deltas.__getitem__, starts)))
         return (lengths,
-                list(accumulate(map(reads.__getitem__, starts))),
-                list(accumulate(map(writes.__getitem__, starts))))
+                list(map(and_, counts, repeat(_READS))),
+                list(map(rshift, counts, repeat(64))))

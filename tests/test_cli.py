@@ -90,8 +90,8 @@ class TestRun:
     # both reject it before replaying
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("header, flags, needs", [
-        ("", ["--mem-size", str(2 ** 26 + 2)], "1.0 GiB"),
-        ("#mem 1549539408\n", [], "23.1 GiB"),
+        ("", ["--mem-size", str(2 ** 26 + 2)], "0.5 GiB"),
+        ("#mem 1549539408\n", [], "11.5 GiB"),
     ], ids=["mem-size-flag", "mem-header"])
     def test_memory_past_the_limit_is_usage_error(self, tmp_path, capsys, command,
                                                   header, flags, needs):

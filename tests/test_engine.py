@@ -34,11 +34,11 @@ class TestConfig:
             EngineConfig(2, Policy("golden"))
 
     def test_memory_limit_is_accepted(self):
-        # only the config: an engine this large would take 1 GiB
+        # only the config: an engine this large would take 0.5 GiB
         assert EngineConfig(MAX_MEM_CELLS, Policy("golden")).mem_size_cells == 2 ** 26
 
     def test_memory_past_the_limit_rejected(self):
-        with pytest.raises(ValueError, match=r"limit of 67108864 cells.* 1\.0 GiB"):
+        with pytest.raises(ValueError, match=r"limit of 67108864 cells.* 0\.5 GiB"):
             EngineConfig(MAX_MEM_CELLS + 2, Policy("golden"))
 
     def test_ring_is_half_of_memory(self):

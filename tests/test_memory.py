@@ -126,6 +126,44 @@ class TestRecordRange:
         assert cell_counts(ring, "W") == [1, 2, 1, 2, 1]
         assert cell_counts(ring, "W") == [1, 2, 1, 2, 1]
 
+    # Both kinds share one difference array, where a write counts 2**64.
+    def test_read_ending_where_a_write_starts(self):
+        # the packed delta at cell 5 is 2**64 - 1: a run starts there
+        ring = CellCounters(10)
+        ring.record_range(2, 3, "R")  # cells 2-4
+        ring.record_range(5, 3, "W")  # cells 5-7
+        assert whole_runs(ring) == ([2, 3, 3, 2], [0, 1, 0, 0], [0, 0, 1, 0])
+
+    def test_write_ending_where_a_read_starts(self):
+        # the packed delta at cell 5 is 1 - 2**64: a run starts there
+        ring = CellCounters(10)
+        ring.record_range(2, 3, "W")  # cells 2-4
+        ring.record_range(5, 3, "R")  # cells 5-7
+        assert whole_runs(ring) == ([2, 3, 3, 2], [0, 0, 1, 0], [0, 1, 0, 0])
+
+    def test_many_reads_under_few_writes_stay_exact(self):
+        # 100 reads and 3 writes over overlapping ranges, some wrapping the
+        # seam: no count of one kind leaks into the other
+        size = 16
+        ring = CellCounters(size)
+        model = {"R": [0] * size, "W": [0] * size}
+        calls = [((7 * i) % size, 1 + i % size, "R") for i in range(100)]
+        calls += [(3, 10, "W"), (9, 12, "W"), (0, 16, "W")]
+        for base, length, kind in calls:
+            ring.record_range(base, length, kind)
+            for i in range(length):
+                model[kind][(base + i) % size] += 1
+        assert max(model["R"]) > 50 and max(model["W"]) == 3
+        assert_runs_match(ring, model)
+
+    def test_read_and_write_both_wrapping_the_seam(self):
+        ring = CellCounters(8)
+        ring.record_range(6, 4, "R")  # cells 6, 7, 0, 1
+        ring.record_range(5, 6, "W")  # cells 5-7, 0-2
+        assert whole_runs(ring) == ([2, 1, 2, 1, 2],
+                                    [1, 0, 0, 0, 1],
+                                    [1, 1, 0, 1, 1])
+
     @given(st.integers(min_value=1, max_value=64).flatmap(
         lambda size: st.tuples(
             st.just(size),
