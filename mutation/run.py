@@ -181,47 +181,74 @@ MUTANTS = [
             "tests/test_memory.py::TestRecordRange::test_runs_split_where_either_kind_changes",
             "tests/test_memory.py::TestRecordRange::test_conservation_and_wrap")),
     Mutant("counters: a run starts only where the packed delta is positive", MEMORY,
-           "compress(range(lo, hi), block)",
-           "compress(range(lo, hi), map((0).__lt__, block))",
+           "compress(range(lo, hi), deltas[lo:hi])",
+           "compress(range(lo, hi), map((0).__lt__, deltas[lo:hi]))",
            ("tests/test_memory.py::TestRecordRange::test_write_ending_where_a_read_starts",
             "tests/test_memory.py::TestRecordRange::test_read_and_write_both_wrapping_the_seam",
             "tests/test_memory.py::TestRecordRange::test_every_range_of_small_rings[read]")),
-    # runs(): the blocks of SCAN_BLOCK cells it skips or scans.
-    Mutant("runs: a block's last cell left unscanned", MEMORY,
-           "hi = min(lo + SCAN_BLOCK, size)",
-           "hi = min(lo + SCAN_BLOCK - 1, size)",
-           ("tests/test_memory.py::test_runs_across_scan_blocks",
+    # runs(): the cells of the arcs it sweeps, each once, in address order.
+    Mutant("runs: a stretch's last cell left unscanned", MEMORY,
+           "starts.extend(compress(range(lo, hi), deltas[lo:hi]))",
+           "starts.extend(compress(range(lo, hi - 1), deltas[lo:hi - 1]))",
+           ("tests/test_memory.py::test_runs_of_large_rings",
+            "tests/test_memory.py::test_runs_read_over_the_arcs",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
-    Mutant("runs: the partial last block dropped", MEMORY,
-           "compress(range(0, size, SCAN_BLOCK), scan)",
-           "compress(range(0, size - size % SCAN_BLOCK, SCAN_BLOCK), scan)",
-           ("tests/test_memory.py::test_runs_across_scan_blocks",
+    Mutant("runs: the ring's last cell never scanned", MEMORY,
+           "min(ends[start], size)",
+           "min(ends[start], size - 1)",
+           ("tests/test_memory.py::test_runs_of_large_rings",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
-    # The report reads only the blocks its epochs met: each epoch's arc and
+    Mutant("runs: overlapping arcs scanned twice", MEMORY,
+           "                done = hi\n",
+           "",
+           ("tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
+            "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
+    Mutant("runs: arcs taken in the order given", MEMORY,
+           "for start in sorted(ends):",
+           "for start in ends:",
+           ("tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
+            "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
+    Mutant("runs: of the arcs from one start, only the first kept", MEMORY,
+           "if end > ends.get(start, 0):",
+           "if start not in ends:",
+           ("tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_memory.py::test_runs_over_arcs_that_share_a_start")),
+    # The report reads only the cells its epochs cover: each epoch's arc and
     # the cell just past it, on both sides of the seam, every epoch included.
-    Mutant("report spans: an arc's blocks end before the cell just past it",
+    Mutant("report spans: an arc's stretch ends before the cell just past it",
            MEMORY,
-           "last = start + cells",
-           "last = start + cells - 1",
-           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",)),
+           "end = start + cells + 1",
+           "end = start + cells",
+           ("tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
     Mutant("report spans: the piece past the seam dropped", MEMORY,
-           "if last > size:",
-           "if False:",
-           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",)),
+           "starts = list(compress(range(done), deltas[:done]))",
+           "starts = []",
+           ("tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
+            "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
+    Mutant("report spans: the cells past the seam not scanned first", MEMORY,
+           "done = max(0, max(ends.values(), default=0) - size)",
+           "done = 0",
+           ("tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
+            "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
     Mutant("report spans: an epoch taken with the next one's start", ENGINE,
            "        self.epochs.append((source, self.start, self.used))\n"
            "        self.start = dest = self.policy_state.take(target)\n",
            "        self.start = dest = self.policy_state.take(target)\n"
            "        self.epochs.append((source, self.start, self.used))\n",
-           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",
+           ("tests/test_oracle.py::test_report_reads_every_cell_that_changed",
             "tests/test_oracle.py::test_runs_match_reference_in_large_memory[loop-2097152-random:1]",
             "tests/test_oracle.py::test_runs_match_reference_in_large_memory[hotspot-1048576-random:1]")),
     Mutant("report spans: the current epoch left out", ENGINE,
            "[*self.epochs, (self.work_ring, self.start, self.used)]",
            "self.epochs",
-           ("tests/test_oracle.py::test_report_reads_every_block_that_changed",
+           ("tests/test_oracle.py::test_report_reads_every_cell_that_changed",
             "tests/test_engine.py::TestReportLayout::test_ring_one_cell_follows_ring_zero",
             "tests/test_engine.py::TestReportLayout::test_single_space_cell_is_its_address")),
     # The trace grammar: ASCII digits only, and sizes of at least 1.

@@ -34,9 +34,9 @@ An epoch is the run of events between two collections.  Its accesses,
 and the reads of the collection that ends it, lie in the `used` cells
 from its `start` on its work space, and that collection's writes lie in
 the next epoch's.  So the engine keeps each ended epoch's (space, start,
-used), and a report reads the counters only in the `SCAN_BLOCK` blocks
-that the epochs of each space meet: its cost grows with the blocks the
-epochs spanned, not with the memory.
+used), and a report reads the counters only in the cells that the epochs
+of each space cover: its cost grows with the cells the epochs spanned,
+not with the memory.
 """
 
 from __future__ import annotations
@@ -80,10 +80,13 @@ class EngineConfig:
             raise ValueError(
                 f"mem_size_cells must be even and >= 4, got {self.mem_size_cells}")
         if self.mem_size_cells > MAX_MEM_CELLS:
+            try:
+                need = f"{self.mem_size_cells * 8 / 2 ** 30:.1f}"
+            except OverflowError:  # more GiB than a float holds
+                need = f"at least {self.mem_size_cells * 8 // 2 ** 30}"
             raise ValueError(
                 f"mem_size_cells {self.mem_size_cells} exceeds the limit of "
-                f"{MAX_MEM_CELLS} cells: its counters would need "
-                f"{self.mem_size_cells * 8 / 2 ** 30:.1f} GiB")
+                f"{MAX_MEM_CELLS} cells: its counters would need {need} GiB")
 
 
 class Engine:

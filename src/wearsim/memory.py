@@ -17,10 +17,9 @@ writes; for the same reason a packed delta is 0 only where both kinds'
 deltas are 0.  Recording a range costs two O(1) updates, four when it
 wraps the seam, whatever its length.  The counts are read only as runs
 of equal (reads, writes): a run starts wherever the packed delta is
-nonzero.  Finding the runs costs one C slice comparison per block of
-`SCAN_BLOCK` cells that the given spans meet, and a per-cell scan only
-of the blocks that hold a nonzero delta; everything after that grows
-with the number of runs, not of cells.
+nonzero.  Finding the runs scans each cell of the given spans, and the
+cell just past each, once and in C; everything after that grows with the
+number of runs, not of cells.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from __future__ import annotations
 from itertools import accumulate, compress, islice, repeat
 from operator import and_, rshift, sub
 
-SCAN_BLOCK = 1024  # cells per block that `runs` skips when all its deltas are 0
-_ZERO_BLOCK = [0] * SCAN_BLOCK
 _UNITS = {"R": 1, "W": 1 << 64}  # what a range of each kind adds to its cells
 _READS = (1 << 64) - 1  # the bits of a packed count that hold the reads
 
@@ -89,34 +86,33 @@ class CellCounters:
         their cells.  A run starts at cell 0 and wherever the packed delta
         is nonzero, which is where the pair changes, so adjacent runs
         differ; its counts are the running sum of the deltas at the starts,
-        split into its low 64 bits and the rest.  The array is read in
-        blocks of `SCAN_BLOCK` cells: a block whose deltas are all zero
-        costs one slice comparison, and only the others are scanned cell by
-        cell.
+        split into its low 64 bits and the rest.
 
-        `spans` lists (start, cells) arcs of the ring, which may wrap the
-        seam, such that every range recorded lies inside one of them; only
-        the blocks that meet an arc or the cell just past it are read.
-        `[(0, size_cells)]` reads every block.
+        `spans` lists (start, cells) arcs of the ring, in any order, which
+        may overlap or wrap the seam, such that every range recorded lies
+        inside one of them.  Only the cells of the arcs and the cell just
+        past each are read, each once: first those past the seam, where
+        every wrapped piece starts, then the rest in address order.
+        `[(0, size_cells)]` reads every cell.
         """
         size = self.size_cells
         deltas = self._deltas
-        scan = bytearray(-(-size // SCAN_BLOCK))  # 1 for each block to read
+        # each arc ends with the cell just past it; of the arcs from one
+        # start, which many epochs share, only the farthest end matters
+        ends = {}
         for start, cells in spans:
-            last = start + cells  # the cell just past the arc, unwrapped
-            first, stop = start // SCAN_BLOCK, min(last, size - 1) // SCAN_BLOCK + 1
-            scan[first:stop] = b"\1" * (stop - first)
-            if last > size:  # the piece past the seam
-                stop = (last - size) // SCAN_BLOCK + 1
-                scan[:stop] = b"\1" * stop
-        starts = []
-        for lo in compress(range(0, size, SCAN_BLOCK), scan):
-            # the entry at `size` starts no run; a short last block never
-            # equals the zero block, so it is always scanned
-            hi = min(lo + SCAN_BLOCK, size)
-            block = deltas[lo:hi]
-            if block != _ZERO_BLOCK:
-                starts.extend(compress(range(lo, hi), block))
+            end = start + cells + 1
+            if end > ends.get(start, 0):
+                ends[start] = end
+        # the cells before `done` are scanned: first those past the seam
+        done = max(0, max(ends.values(), default=0) - size)
+        starts = list(compress(range(done), deltas[:done]))
+        for start in sorted(ends):
+            hi = min(ends[start], size)
+            if hi > done:  # and hi > start, so the stretch is not empty
+                lo = max(start, done)
+                starts.extend(compress(range(lo, hi), deltas[lo:hi]))
+                done = hi
         if not starts or starts[0]:
             starts.insert(0, 0)
         lengths = list(map(sub, [*islice(starts, 1, None), size], starts))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from wearsim.trace import Trace, TraceEvent, TraceHeader
 
@@ -60,11 +61,17 @@ class WorkloadSpec:
 def hot_object_ids(spec: WorkloadSpec) -> frozenset[int]:
     """Ids of the objects that receive the bulk of hotspot accesses.
 
-    Objects are numbered 1..object_count in allocation order; the hot
-    set is the lowest-numbered ceil(hot_fraction * object_count) of them.
+    Objects are numbered in allocation order, and hotspot allocates the
+    first min(object_count, op_count) of them.  The hot set is the
+    lowest-numbered ceil(hot_fraction * object_count) of those, at least
+    one and at most all.  The product is a float's, as long as a float
+    holds object_count.
     """
-    count = min(spec.object_count,
-                max(1, math.ceil(spec.hot_fraction * spec.object_count)))
+    try:
+        count = math.ceil(spec.hot_fraction * spec.object_count)
+    except OverflowError:  # more objects than a float holds
+        count = math.ceil(Fraction(spec.hot_fraction) * spec.object_count)
+    count = min(spec.object_count, spec.op_count, max(1, count))
     return frozenset(range(1, count + 1))
 
 
@@ -125,7 +132,7 @@ class _Generator:
     def hotspot(self) -> None:
         for _ in range(min(self.spec.object_count, self.spec.op_count)):
             self.alloc()
-        hot = sorted(hot_object_ids(self.spec) & self.live.keys())
+        hot = sorted(hot_object_ids(self.spec))
         cold = sorted(self.live.keys() - set(hot))
         while self.body_count < self.spec.op_count:
             if cold and self.rng.random() >= HOT_ACCESS_SHARE:

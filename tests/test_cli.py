@@ -92,7 +92,11 @@ class TestRun:
     @pytest.mark.parametrize("header, flags, needs", [
         ("", ["--mem-size", str(2 ** 26 + 2)], "0.5 GiB"),
         ("#mem 1549539408\n", [], "11.5 GiB"),
-    ], ids=["mem-size-flag", "mem-header"])
+        # 318 digits: more GiB than a float holds
+        ("", ["--mem-size", str(10 ** 317)], f"need at least {10 ** 317 // 2 ** 27} GiB"),
+        (f"#mem {10 ** 317}\n", [], f"need at least {10 ** 317 // 2 ** 27} GiB"),
+    ], ids=["mem-size-flag", "mem-header", "mem-size-flag-past-a-float",
+            "mem-header-past-a-float"])
     def test_memory_past_the_limit_is_usage_error(self, tmp_path, capsys, command,
                                                   header, flags, needs):
         trace = write_file(tmp_path / "t.trace", header + TRIVIAL)
@@ -322,6 +326,15 @@ class TestGen:
         out = tmp_path / "s.json"
         assert main(["run", "--trace", str(trace), "--policy", "golden",
                      "--out", str(out)]) == 0
+
+    def test_hotspot_of_more_objects_than_a_float_holds(self, tmp_path):
+        # 400 digits: only the 10 objects that 10 operations allocate exist
+        trace = tmp_path / "g.trace"
+        assert main(["gen", "--pattern", "hotspot", "--objects", str(10 ** 399),
+                     "--ops", "10", "--out", str(trace)]) == 0
+        assert trace.read_text() == format_trace(generate(
+            WorkloadSpec("hotspot", object_count=10 ** 399, op_count=10)))
+        assert trace.read_text().count("\nA ") == 10
 
     def test_defaults_are_the_specs(self, tmp_path):
         trace = tmp_path / "g.trace"

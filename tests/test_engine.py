@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"limit of 67108864 cells.* 0\.5 GiB"):
             EngineConfig(MAX_MEM_CELLS + 2, Policy("golden"))
 
+    def test_memory_past_a_float_rejected(self):
+        # 10^317 cells take more GiB than a float holds
+        with pytest.raises(ValueError, match=r"limit of 67108864 cells.* need at least "
+                                             r"74505805969238281250+ GiB$"):
+            EngineConfig(10 ** 317, Policy("golden"))
+
     def test_ring_is_half_of_memory(self):
         assert engine_for(20).capacity == 10
         assert engine_for(20, "single").capacity == 20

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wearsim.memory import SCAN_BLOCK, CellCounters
+from wearsim.memory import CellCounters
 
 
 def expand(lengths, values):
@@ -13,7 +13,7 @@ def expand(lengths, values):
 
 
 def whole_runs(ring):
-    """The ring's runs, read over every block."""
+    """The ring's runs, read over every cell."""
     return ring.runs([(0, ring.size_cells)])
 
 
@@ -188,22 +188,29 @@ class TestRecordRange:
                 == sum(length for _, length, _ in calls))
 
 
-@st.composite
-def block_scale_cases(draw):
-    """A ring of 1-5 scan blocks and a few ranges, most blocks left untouched.
+def record(ring, model, calls):
+    """Record each (base, length, kind) call in the ring and, cell by cell, in
+    `model`, which maps "R" and "W" to per-cell counts."""
+    for base, length, kind in calls:
+        ring.record_range(base, length, kind)
+        for i in range(length):
+            model[kind][(base + i) % ring.size_cells] += 1
 
-    Sizes include one block less one cell, one block, one block plus one
-    cell and exact multiples.  Each range is drawn as its first and its last
-    cell, either of them biased to a block's bounds and to the ring's last
-    cell, so the deltas land on both sides of every block edge and on the
+
+@st.composite
+def large_ring_cases(draw):
+    """A ring of up to 5,120 cells and a few ranges, most cells left untouched.
+
+    Sizes include 1,023, 1,024 and 1,025 cells and multiples of 1,024.
+    Each range is drawn as its first and its last cell, either of them
+    biased to the cells around each multiple of 1,024 and to the ring's
+    last cell, so the deltas land on both sides of those cells and on the
     extra entry past the ring; a last cell before the first wraps the seam.
     """
-    size = draw(st.one_of(
-        st.sampled_from([SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
-                         2 * SCAN_BLOCK, 3 * SCAN_BLOCK - 1, 5 * SCAN_BLOCK]),
-        st.integers(1, 5 * SCAN_BLOCK)))
+    size = draw(st.one_of(st.sampled_from([1023, 1024, 1025, 2048, 3071, 5120]),
+                          st.integers(1, 5120)))
     edges = {size - 1}
-    for lo in range(0, size + 1, SCAN_BLOCK):
+    for lo in range(0, size + 1, 1024):
         edges.update(c for c in range(lo - 2, lo + 2) if 0 <= c < size)
     cell = st.one_of(st.sampled_from(sorted(edges)), st.integers(0, size - 1))
     ranges = draw(st.lists(st.tuples(cell, cell, st.sampled_from("RW")), max_size=4))
@@ -212,13 +219,82 @@ def block_scale_cases(draw):
 
 
 @settings(deadline=None)
-@given(block_scale_cases())
-def test_runs_across_scan_blocks(case):
+@given(large_ring_cases())
+def test_runs_of_large_rings(case):
     size, calls = case
     ring = CellCounters(size)
     model = {"R": [0] * size, "W": [0] * size}
-    for base, length, kind in calls:
-        ring.record_range(base, length, kind)
-        for i in range(length):
-            model[kind][(base + i) % size] += 1
+    record(ring, model, calls)
     assert_runs_match(ring, model)
+
+
+@st.composite
+def arc_cases(draw):
+    """A ring, (start, cells) arcs of it in any order, and ranges inside them.
+
+    An arc may be empty, wrap the seam, or end at the ring's last cell or
+    one cell either side of it.  One drawn from a cell of an earlier arc
+    nests in it, or shares its start, or overlaps it; others overlap at
+    random.  Each range lies inside one arc.
+    """
+    size = draw(st.integers(1, 40))
+    arcs = []
+    for _ in range(draw(st.integers(0, 6))):
+        if arcs and draw(st.booleans()):  # from a cell of an earlier arc
+            start, cells = draw(st.sampled_from(arcs))
+            offset = draw(st.integers(0, cells))
+            arcs.append(((start + offset) % size,
+                         draw(st.one_of(st.integers(0, cells - offset), st.integers(0, size)))))
+        else:
+            start = draw(st.integers(0, size - 1))
+            ends = [end - start for end in (size - 1, size, size + 1)
+                    if 0 <= end - start <= size]
+            arcs.append((start, draw(st.one_of(st.sampled_from(ends),
+                                               st.integers(0, size)))))
+    filled = [arc for arc in arcs if arc[1]]
+    calls = []
+    if filled:
+        for start, cells in draw(st.lists(st.sampled_from(filled), max_size=8)):
+            offset = draw(st.integers(0, cells - 1))
+            calls.append(((start + offset) % size, draw(st.integers(1, cells - offset)),
+                          draw(st.sampled_from("RW"))))
+    return size, arcs, calls
+
+
+@given(arc_cases())
+def test_runs_read_over_the_arcs(case):
+    """Runs read over arcs that hold every range are those read over the
+    whole ring, and expand to a per-cell model."""
+    size, arcs, calls = case
+    ring = CellCounters(size)
+    model = {"R": [0] * size, "W": [0] * size}
+    record(ring, model, calls)
+    assert ring.runs(arcs) == whole_runs(ring)
+    assert_runs_match(ring, model)
+
+
+def test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest():
+    # the second arc's piece past the seam, cells 0-5 and the cell just
+    # past them, is the longest, and that arc is neither the first nor the
+    # last in address order; a run starts at cell 9, where two arcs overlap
+    ring = CellCounters(10)
+    ring.record_range(8, 8, "W")  # cells 8, 9, 0-5
+    ring.record_range(4, 2, "R")
+    ring.record_range(3, 1, "R")
+    ring.record_range(9, 1, "R")
+    assert ring.runs([(9, 2), (8, 8), (3, 1)]) == ([3, 3, 2, 1, 1], [0, 1, 0, 0, 1],
+                                                   [1, 1, 0, 1, 1])
+
+
+def test_runs_over_arcs_that_share_a_start():
+    # the longer arc from cell 1 holds the write at cell 4
+    ring = CellCounters(8)
+    ring.record_range(1, 1, "R")
+    ring.record_range(4, 1, "W")
+    assert ring.runs([(1, 1), (1, 5), (1, 0)]) == ([1, 1, 2, 1, 3], [0, 1, 0, 0, 0],
+                                                   [0, 0, 0, 1, 0])
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_runs_over_no_arcs_of_an_untouched_ring(size):
+    assert CellCounters(size).runs([]) == ([size], [0], [0])

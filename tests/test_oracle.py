@@ -9,9 +9,9 @@ allocation to the smallest id not live at that point, which brings freed
 ids back, often before the next collection.
 A few traces with few objects also run in memories of 2^20 and 2^21
 cells, where the engine's report is a handful of long runs, and one
-hand-built trace changes the counts in each space's partial last block.
-Traces with small live sets, in spaces of a few `SCAN_BLOCK`s, check that
-the blocks a report reads, those its epochs met, hold every change.
+hand-built trace changes the counts in each space's last cells.
+Traces with small live sets, in spaces of 2,048 to 8,192 cells, check
+that the cells a report reads, those its epochs cover, hold every change.
 Traces with frees check each collection on its own: the cells it leaves
 live and the cells it moves.
 """
@@ -27,7 +27,6 @@ from hypothesis import example, given, reject, settings, strategies as st
 from reference_replayer import bisected_golden_shift, reference_replay
 from test_memory import whole_runs
 from wearsim.engine import Engine, EngineConfig, SimulationError, replay
-from wearsim.memory import SCAN_BLOCK
 from wearsim.metrics import summarize
 from wearsim.policy import golden_shift, parse_policy
 from wearsim.trace import Trace
@@ -200,10 +199,10 @@ def test_runs_match_reference_in_large_memory(pattern, mem, policy):
 
 @pytest.mark.parametrize("policy", ["golden", "single"])
 def test_runs_match_reference_at_the_last_block(policy):
-    """Changes in each space's partial last block of `SCAN_BLOCK` cells.
+    """Changes in each space's cells past its last multiple of 1,024.
 
-    In 2^20 + 2 cells, golden's rings end in a block of one cell and the
-    single space in one of two.  A filler allocated and freed untouched
+    In 2^20 + 2 cells, that is the last cell of each of golden's rings and
+    the last two of the single space.  A filler allocated and freed untouched
     puts a 3-cell object on the work space's last cells; a write to its
     middle cell and the collection that copies it away change the counts
     there, and a second round does the same in the next work space.
@@ -217,12 +216,12 @@ def test_runs_match_reference_at_the_last_block(policy):
     reference = assert_large_memory_runs(Trace(events), mem, policy)
     counts = list(zip(reference.reads, reference.writes))
     for space in range(0, mem, capacity):
-        last_block = space + capacity // SCAN_BLOCK * SCAN_BLOCK
+        tail = space + capacity // 1024 * 1024
         assert any(counts[cell] != counts[cell - 1]
-                   for cell in range(last_block, space + capacity))
+                   for cell in range(tail, space + capacity))
 
 
-#: Traces whose live sets take a small part of a space of a few blocks.
+#: Traces whose live sets take a small part of a space of thousands of cells.
 small_live_traces = st.builds(
     WorkloadSpec,
     pattern=st.sampled_from(PATTERNS),
@@ -236,26 +235,26 @@ small_live_traces = st.builds(
 
 @settings(deadline=None)
 @given(trace=small_live_traces,
-       capacity=st.integers(2 * SCAN_BLOCK, 8 * SCAN_BLOCK),
+       capacity=st.integers(2048, 8192),
        kind=st.sampled_from(["golden", "quarter", "fraction:0.3", "none",
                              "random", "single"]),
        random_seed=st.integers(0, 1000), count_gc_traffic=st.booleans())
-# an epoch ends on a block's edge, and so do its write and its collection's read
-@example(trace=Trace([("A", 1, SCAN_BLOCK), ("W", 1, SCAN_BLOCK - 24, 24), ("G",)]),
-         capacity=2 * SCAN_BLOCK, kind="golden", random_seed=0, count_gc_traffic=True)
+# an epoch ends at cell 1,023, and so do its write and its collection's read
+@example(trace=Trace([("A", 1, 1024), ("W", 1, 1000, 24), ("G",)]),
+         capacity=2048, kind="golden", random_seed=0, count_gc_traffic=True)
 # ring 1's third epoch starts at cell 6258 and wraps to cell 2070: its write
-# at cell 1100 lies past the seam, in a block no other epoch of ring 1 meets
+# at cell 1100 lies past the seam, in cells no other epoch of ring 1 covers
 @example(trace=Trace([("A", 1, 4), ("G",), ("G",), ("G",), ("G",), ("G",),
                       ("A", 2, 4000), ("W", 2, 3030, 10)]),
-         capacity=8 * SCAN_BLOCK, kind="golden", random_seed=0, count_gc_traffic=False)
+         capacity=8192, kind="golden", random_seed=0, count_gc_traffic=False)
 # random:0 gives ring 1 its second start, 6311, before ring 0's third epoch
-# ends; that epoch writes in block 3 of ring 0, which no other epoch meets
+# ends; that epoch writes cells 3,200-3,207 of ring 0, which no other epoch covers
 @example(trace=Trace([("A", 1, 4), ("G",), ("G",), ("A", 2, 4000),
                       ("W", 2, 3200, 8), ("G",)]),
-         capacity=8 * SCAN_BLOCK, kind="random", random_seed=0, count_gc_traffic=False)
-def test_report_reads_every_block_that_changed(trace, capacity, kind, random_seed,
-                                               count_gc_traffic):
-    """The report, which reads only the blocks its epochs met, holds each
+         capacity=8192, kind="random", random_seed=0, count_gc_traffic=False)
+def test_report_reads_every_cell_that_changed(trace, capacity, kind, random_seed,
+                                              count_gc_traffic):
+    """The report, which reads only the cells its epochs cover, holds each
     space's runs read over the whole space, and agrees with the reference."""
     policy = f"random:{random_seed}" if kind == "random" else kind
     mem = 2 * capacity  # two rings, or one space of both

@@ -58,6 +58,19 @@ class TestPatterns:
         assert hot_object_ids(spec_for("hotspot", object_count=10,
                                        hot_fraction=0.25)) == {1, 2, 3}
 
+    def test_hot_set_is_of_the_allocated_objects(self):
+        # hotspot allocates only as many objects as it has operations: the
+        # first 10 of 1,000, of which none is past the hot 100
+        assert hot_object_ids(spec_for("hotspot", object_count=1000,
+                                       op_count=10)) == set(range(1, 11))
+
+    def test_hot_set_of_more_objects_than_a_float_holds(self):
+        assert hot_object_ids(spec_for("hotspot", object_count=10 ** 399,
+                                       op_count=10)) == set(range(1, 11))
+        # 2^-1074 of 3 * 2^1074 objects is 3, exactly
+        assert hot_object_ids(spec_for("hotspot", object_count=3 * 2 ** 1074,
+                                       op_count=10, hot_fraction=2.0 ** -1074)) == {1, 2, 3}
+
     def test_loop_writes_fixed_set_in_cycle(self):
         spec = spec_for("loop", object_count=3, op_count=50)
         trace = generate(spec)
