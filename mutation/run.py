@@ -53,6 +53,7 @@ class Mutant:
 METRICS = "src/wearsim/metrics.py"
 ENGINE = "src/wearsim/engine.py"
 MEMORY = "src/wearsim/memory.py"
+WORKLOAD = "src/wearsim/workload.py"
 TRACE_GRAMMAR = ("re.compile(r\"(?:G|F \\d+|A \\d+ 0*[1-9]\\d*|"
                  "[RW] \\d+ \\d+ 0*[1-9]\\d*)\\r?\",\n                        re.ASCII)")
 
@@ -280,6 +281,26 @@ MUTANTS = [
            "and isinstance(event[0], str)",
            ("tests/test_trace.py::TestValidate::test_malformed_event[str-subclass]",
             "tests/test_trace.py::TestAgainstReference::test_validate_matches_reference")),
+    # The generator: draws as randrange, randint and choice make them.
+    Mutant("workload: a draw below n not retried", WORKLOAD,
+           "while i >= live:",
+           "if i >= live:",
+           ("tests/test_workload.py::TestSameStream::test_pinned_bytes[churn]",
+            "tests/test_workload.py::TestSameStream::test_pinned_bytes[churn-2000-objects]",
+            "tests/test_workload.py::TestSameStream::test_pinned_bytes[churn-20000-objects]",
+            "tests/test_workload.py::TestSameStream::test_draws_as_the_library_calls")),
+    Mutant("workload: churn frees the live id below the one picked", WORKLOAD,
+           "del ids[i]",
+           "del ids[i - 1]",
+           ("tests/test_workload.py::TestSameStream::test_pinned_bytes[churn]",
+            "tests/test_workload.py::TestSameStream::test_pinned_bytes[churn-2000-objects]",
+            "tests/test_workload.py::TestSameStream::test_pinned_bytes[churn-one-cell-objects]",
+            "tests/test_workload.py::TestSameStream::test_draws_as_the_library_calls")),
+    Mutant("workload: hotspot's cold accesses go to the hot set", WORKLOAD,
+           "pool, n, k = cold_pick if",
+           "pool, n, k = hot_pick if",
+           ("tests/test_workload.py::TestSameStream::test_pinned_bytes[hotspot-bench]",
+            "tests/test_workload.py::TestSameStream::test_draws_as_the_library_calls")),
     # The golden shift: rational shifts that leave the discrepancy bound.
     Mutant("golden_shift: 3N/8", "src/wearsim/policy.py",
            "return (3 * ring_size - math.isqrt(5 * ring_size * ring_size) - 1) // 2",

@@ -141,10 +141,3 @@ class PolicyState:
             self.next_start[ring] = (used + self.shift) % self.ring_size
         return used
 
-
-def start_sequence(policy: Policy, ring_size: int, count: int) -> list[int]:
-    """First `count` start locations a single ring receives under `policy`."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    state = PolicyState(policy, ring_size)
-    return [state.take(0) for _ in range(count)]
