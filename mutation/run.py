@@ -137,8 +137,8 @@ MUTANTS = [
     # of movers, and which objects move.  The live-cell total that a
     # collection leaves in `used`.
     Mutant("engine: a free leaves its cells in the live total", ENGINE,
-           "self.live_cells -= self.objects.pop(object_id).size_cells",
-           "self.objects.pop(object_id)",
+           "self.used = used",
+           "self.used = self.used",
            ("tests/test_engine.py::TestAlloc::test_gc_makes_room_for_retry",
             "tests/test_engine.py::TestAlloc::test_exact_fit_after_gc",
             "tests/test_engine.py::TestGc::test_copy_preserves_base_order")),
@@ -301,6 +301,17 @@ MUTANTS = [
            "pool, n, k = hot_pick if",
            ("tests/test_workload.py::TestSameStream::test_pinned_bytes[hotspot-bench]",
             "tests/test_workload.py::TestSameStream::test_draws_as_the_library_calls")),
+    # The generator: a G after every gc_every-th body event, and #mem.
+    Mutant("workload: no G after the last full group", WORKLOAD,
+           "range(every, len(body) + 1, every)",
+           "range(every, len(body), every)",
+           ("tests/test_workload.py::TestPatterns::test_gc_insertion_cadence",
+            "tests/test_workload.py::TestSameStream::test_pinned_bytes"
+            "[churn-one-object-gc-every-event]")),
+    Mutant("workload: #mem from the last object, not the largest", WORKLOAD,
+           "max(sizes)",
+           "sizes[-1]",
+           ("tests/test_workload.py::TestSameStream::test_draws_as_the_library_calls",)),
     # The golden shift: rational shifts that leave the discrepancy bound.
     Mutant("golden_shift: 3N/8", "src/wearsim/policy.py",
            "return (3 * ring_size - math.isqrt(5 * ring_size * ring_size) - 1) // 2",

@@ -76,6 +76,12 @@ class EngineConfig:
     count_gc_traffic: bool = True
 
     def __post_init__(self):
+        if type(self.mem_size_cells) is not int:  # a bool or a float is refused too
+            raise ValueError(
+                f"mem_size_cells must be an int, got {self.mem_size_cells!r}")
+        if type(self.count_gc_traffic) is not bool:
+            raise ValueError(
+                f"count_gc_traffic must be a bool, got {self.count_gc_traffic!r}")
         if self.mem_size_cells < 4 or self.mem_size_cells % 2:
             raise ValueError(
                 f"mem_size_cells must be even and >= 4, got {self.mem_size_cells}")
@@ -108,7 +114,6 @@ class Engine:
         self.objects: dict[int, ObjectRecord] = {}
         self.start = 0  # base of the block compacted at the last collection
         self.used = 0   # that block's cells plus every cell allocated since
-        self.live_cells = 0  # the cells of the objects in `objects`
         self.epochs: list[tuple[int, int, int]] = []  # each ended: (space, start, used)
         self.event_count = 0
 
@@ -127,10 +132,9 @@ class Engine:
         self.objects[object_id] = ObjectRecord(
             size_cells, (self.start + self.used) % self.capacity)
         self.used += size_cells
-        self.live_cells += size_cells
 
     def handle_free(self, object_id: int) -> None:
-        self.live_cells -= self.objects.pop(object_id).size_cells
+        del self.objects[object_id]
 
     def handle_access(self, object_id: int, offset: int, length: int,
                       kind: str) -> None:
@@ -148,7 +152,7 @@ class Engine:
         target = (source + 1) % len(self.spaces)
         self.epochs.append((source, self.start, self.used))
         self.start = dest = self.policy_state.take(target)
-        moved = 0
+        moved = used = 0
         runs: list[list[int]] = []  # [base, cells] of each run of adjacent movers
         end = None  # just past the last run, unwrapped: no later base is past the seam
         for record in live:
@@ -162,6 +166,7 @@ class Engine:
                 moved += size
                 record.base_cell = dest
             dest = (dest + size) % self.capacity
+            used += size
         if self.config.count_gc_traffic and moved:
             for base, cells in runs:
                 self.spaces[source].record_range(base, cells, "R")
@@ -170,7 +175,7 @@ class Engine:
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
         self.work_space = self.spaces[target]
-        self.used = self.live_cells
+        self.used = used
 
     def process(self, event: TraceEvent) -> None:
         """Apply one event of a trace that passes `validate_trace`.

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -46,6 +48,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"limit of 67108864 cells.* need at least "
                                              r"74505805969238281250+ GiB$"):
             EngineConfig(10 ** 317, Policy("golden"))
+
+    @pytest.mark.parametrize("value", [20.0, True, "20"])
+    def test_memory_must_be_an_int(self, value):
+        message = f"mem_size_cells must be an int, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EngineConfig(value, Policy("golden"))
+
+    @pytest.mark.parametrize("value", [1, 0, None, "yes"])
+    def test_gc_traffic_flag_must_be_a_bool(self, value):
+        # a 1 would reach summary-json, which load_summary refuses
+        message = f"count_gc_traffic must be a bool, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EngineConfig(20, Policy("golden"), count_gc_traffic=value)
 
     def test_ring_is_half_of_memory(self):
         assert engine_for(20).capacity == 10
