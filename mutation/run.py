@@ -54,8 +54,7 @@ METRICS = "src/wearsim/metrics.py"
 ENGINE = "src/wearsim/engine.py"
 MEMORY = "src/wearsim/memory.py"
 WORKLOAD = "src/wearsim/workload.py"
-TRACE_GRAMMAR = ("re.compile(r\"(?:G|F \\d+|A \\d+ 0*[1-9]\\d*|"
-                 "[RW] \\d+ \\d+ 0*[1-9]\\d*)\\r?\",\n                        re.ASCII)")
+TRACE = "src/wearsim/trace.py"
 
 MUTANTS = [
     # The percell writer: a block's runs, the clip of its last run's cells,
@@ -252,31 +251,47 @@ MUTANTS = [
            ("tests/test_oracle.py::test_report_reads_every_cell_that_changed",
             "tests/test_engine.py::TestReportLayout::test_ring_one_cell_follows_ring_zero",
             "tests/test_engine.py::TestReportLayout::test_single_space_cell_is_its_address")),
-    # The trace grammar: ASCII digits only, and sizes of at least 1.
-    Mutant("grammar: \\d takes any Unicode digit", "src/wearsim/trace.py",
-           TRACE_GRAMMAR,
-           TRACE_GRAMMAR.replace(",\n                        re.ASCII)", ")"),
+    # The trace reader: ASCII digits only, per-opcode arity, sizes of at
+    # least 1, and one CR dropped from the end of each line of CRLF text.
+    Mutant("parse: parse_uint takes any Unicode digit", TRACE,
+           "text.isascii() and text.isdigit()",
+           "text.isdigit()",
            ("tests/test_trace.py::TestParse::test_non_ascii_digits_rejected[arabic-indic-three]",
             "tests/test_trace.py::TestParse::test_non_ascii_digits_rejected[fullwidth-one]",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
-    Mutant("grammar: takes A 1 0", "src/wearsim/trace.py",
-           TRACE_GRAMMAR,
-           TRACE_GRAMMAR.replace("A \\d+ 0*[1-9]\\d*", "A \\d+ \\d+"),
+    Mutant("parse: takes A 1 0", TRACE,
+           "if not event[2]:",
+           "if False:",
            ("tests/test_trace.py::TestParse::test_zero_size_rejected",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference",
             "tests/test_cli.py::TestRun::test_parse_error_exits_3")),
-    Mutant("grammar: matches no line", "src/wearsim/trace.py",
-           TRACE_GRAMMAR,
-           're.compile(r"(?!)", re.ASCII)',
+    Mutant("parse: takes R 1 2 0", TRACE,
+           "if not event[3]:",
+           "if False:",
+           ("tests/test_trace.py::TestParse::test_zero_length_rejected",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
+    Mutant("parse: no line read as an event", TRACE,
+           "if arity_of(fields[0]) == arity:",
+           "if False:",
            ("tests/test_trace.py::TestParse::test_basic",
             "tests/test_trace.py::TestParse::test_crlf_tolerated",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
-    Mutant("grammar: refuses a zero-padded size or length", "src/wearsim/trace.py",
-           TRACE_GRAMMAR,
-           TRACE_GRAMMAR.replace("0*[1-9]", "[1-9]"),
-           ("tests/test_trace.py::TestParse::test_zero_padded_fields",)),
+    Mutant("parse: every trailing CR stripped", TRACE,
+           '''        text = text.replace("\\r\\n", "\\n")
+        if text.endswith("\\r"):
+            text = text[:-1]
+''',
+           '''        text = "\\n".join(line.rstrip("\\r") for line in text.split("\\n"))
+''',
+           ("tests/test_trace.py::TestAgainstReference::test_parse_matches_reference",)),
+    Mutant("parse: no CR stripped", TRACE,
+           'if "\\r" in text:',
+           "if False:",
+           ("tests/test_trace.py::TestParse::test_crlf_tolerated",
+            "tests/test_trace.py::TestParse::test_crlf_trace_parses_as_lf",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
     # The validator: a parsed opcode is of type str, not a subclass of it.
-    Mutant("validate: a str-subclass opcode taken", "src/wearsim/trace.py",
+    Mutant("validate: a str-subclass opcode taken", TRACE,
            "and type(event[0]) is str",
            "and isinstance(event[0], str)",
            ("tests/test_trace.py::TestValidate::test_malformed_event[str-subclass]",

@@ -79,6 +79,8 @@ class EngineConfig:
         if type(self.mem_size_cells) is not int:  # a bool or a float is refused too
             raise ValueError(
                 f"mem_size_cells must be an int, got {self.mem_size_cells!r}")
+        if type(self.policy) is not Policy:
+            raise ValueError(f"policy must be a Policy, got {self.policy!r}")
         if type(self.count_gc_traffic) is not bool:
             raise ValueError(
                 f"count_gc_traffic must be a bool, got {self.count_gc_traffic!r}")

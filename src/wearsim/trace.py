@@ -17,13 +17,16 @@ Wire format (UTF-8 text, LF line endings)::
     W <id> <off> <len>     write <len> cells starting <off> into the object
     G                      garbage-collection trigger
 
-Fields are unsigned ASCII decimals separated by single spaces.
-`_EVENT_LINE` states an event line's grammar and is the only gate on one:
-parse_trace reads an event only from a line that matches it, and
-`_refuse_event` words, in parse_uint's terms, the fault of any other line
-that is neither blank nor a comment.  parse_trace reads the format from a
-``str`` and format_trace renders it to one; callers do their own file I/O
-and decoding.
+Fields are unsigned ASCII decimals separated by single spaces, and a
+size or length is at least 1.  The table above is the grammar, and the
+only gate on an event line: parse_trace reads an event from a line whose
+field count is its opcode's arity (`_OPCODE_ARITY`), whose fields
+parse_uint reads, once per distinct text in a parse, and whose size or
+length is not 0.  Any other line that is neither blank nor a comment is
+refused for the first of these it breaks, in that order, its fields
+taken in turn.  parse_trace reads the format from a ``str`` and
+format_trace renders it to one; callers do their own file I/O and
+decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
@@ -34,7 +37,6 @@ by its per-opcode branches alone, is a tuple that no line could produce.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -60,10 +62,9 @@ class Trace:
 _OPCODE_ARITY = {"A": 3, "F": 2, "R": 4, "W": 4, "G": 1}
 _LINE_FORMAT = {op: " ".join(["%s"] * n) for op, n in _OPCODE_ARITY.items()}
 
-#: A well-formed event line, CR included if the text has CRLF endings:
-#: ASCII digits, single spaces, and a size or length of at least 1.
-_EVENT_LINE = re.compile(r"(?:G|F \d+|A \d+ 0*[1-9]\d*|[RW] \d+ \d+ 0*[1-9]\d*)\r?",
-                        re.ASCII)
+#: The collection marker; one tuple serves every G that parse_trace reads
+#: or generate emits.
+GC = ("G",)
 
 #: The noun that validate_trace messages use for each access opcode.
 ACCESS_NOUNS = {"R": "read", "W": "write"}
@@ -84,62 +85,79 @@ def _parse_version(line: str) -> None:
         raise ValueError(f"unsupported trace format version {version}")
 
 
-def _refuse_event(line: str) -> NoReturn:
-    """Raise why `line` is not an event.  `_EVENT_LINE` refused it, so if its
-    opcode, field count and fields are sound, its last field is 0."""
-    fields = line.split(" ")
+class _FieldValues(dict):
+    """One parse's field texts and their values: a text missing from the
+    table is read once with parse_uint, so equal texts share one int."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = parse_uint(text)
+        return value
+
+
+def _refuse_event(fields: list[str]) -> NoReturn:
+    """Raise why a line split into `fields`, whose field count is not its
+    opcode's arity, is not an event."""
     opcode = fields[0]
     arity = _OPCODE_ARITY.get(opcode)
     if arity is None:
         raise ValueError(f"unknown opcode '{opcode}'")
-    if len(fields) != arity:
-        raise ValueError(f"expected {arity} fields for '{opcode}', got {len(fields)}")
-    for text in fields[1:]:
-        parse_uint(text)
-    raise ValueError(f"{'size' if opcode == 'A' else 'length'} must be >= 1")
+    raise ValueError(f"expected {arity} fields for '{opcode}', got {len(fields)}")
 
 
 def parse_trace(text: str) -> Trace:
     """Parse wire-format text into a Trace.
 
-    Reads one string, with LF or CRLF line endings, and an event only from
-    a line that `_EVENT_LINE` matches.  Raises ValueError naming the first
-    offending line: its message ends " at line <n>".
+    Reads one string, with LF or CRLF line endings.  A line whose field
+    count is its opcode's arity is an event, its fields read in order
+    through one `_FieldValues` table and its size or length checked;
+    `_refuse_event` refuses any other line that is neither blank nor a
+    comment.  Raises ValueError naming the first offending line: its
+    message ends " at line <n>".
     """
+    if "\r" in text:
+        # tolerate CRLF input: drop one CR from the end of each line, which
+        # for all lines but the last is the CR just before its LF
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
     events: list[TraceEvent] = []
+    append = events.append
     suggested: int | None = None
-    match = _EVENT_LINE.fullmatch
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        try:
-            if match(raw):
-                # int() still refuses a field past its digit limit
-                fields = raw.split()
-                arity = len(fields)
+    value = _FieldValues()
+    arity_of = _OPCODE_ARITY.get
+    try:
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            fields = line.split(" ")
+            arity = len(fields)
+            if arity_of(fields[0]) == arity:
                 if arity == 4:
-                    events.append((fields[0], int(fields[1]), int(fields[2]),
-                                   int(fields[3])))
+                    opcode, object_id, offset, length = fields
+                    event = (opcode, value[object_id], value[offset], value[length])
+                    if not event[3]:
+                        raise ValueError("length must be >= 1")
                 elif arity == 3:
-                    events.append((fields[0], int(fields[1]), int(fields[2])))
+                    opcode, object_id, size = fields
+                    event = (opcode, value[object_id], value[size])
+                    if not event[2]:
+                        raise ValueError("size must be >= 1")
                 elif arity == 2:
-                    events.append((fields[0], int(fields[1])))
-                else:
-                    events.append((fields[0],))
+                    event = (fields[0], value[fields[1]])
+                else:  # G, the one opcode of arity 1
+                    event = GC
+                append(event)
                 continue
-            line = raw[:-1] if raw.endswith("\r") else raw  # tolerate CRLF input
             if not line.strip():
                 continue
             if not line.startswith("#"):
-                _refuse_event(line)
+                _refuse_event(fields)
             elif line_no == 1 and line.startswith("#!"):
                 _parse_version(line)
-            else:
-                fields = line.split(" ")
-                if fields[0] == "#mem":
-                    if len(fields) != 2:
-                        raise ValueError("malformed #mem header")
-                    suggested = parse_uint(fields[1])
-        except ValueError as err:
-            raise ValueError(f"{err} at line {line_no}") from None
+            elif fields[0] == "#mem":
+                if arity != 2:
+                    raise ValueError("malformed #mem header")
+                suggested = parse_uint(fields[1])
+    except ValueError as err:
+        raise ValueError(f"{err} at line {line_no}") from None
     return Trace(events, TraceHeader(suggested))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
 
-from wearsim.trace import Trace, TraceEvent, TraceHeader
+from wearsim.trace import GC, Trace, TraceEvent, TraceHeader
 
 PATTERNS = ("churn", "hotspot", "loop")
 
@@ -84,10 +84,6 @@ def hot_object_ids(spec: WorkloadSpec) -> frozenset[int]:
         count = math.ceil(Fraction(spec.hot_fraction) * spec.object_count)
     count = min(spec.object_count, spec.op_count, max(1, count))
     return frozenset(range(1, count + 1))
-
-
-#: The collection marker; one tuple serves every G of a trace.
-GC = ("G",)
 
 
 def _sizes(getrandbits, count: int, mean: int) -> list[int]:

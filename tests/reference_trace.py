@@ -3,9 +3,10 @@
 The per-line reader splits every line on spaces and reads each field with
 its own digit check, and the validator checks each event's shape with one
 generic function before it applies any rule.  wearsim.trace gates the
-reader with one compiled grammar and branches the validator once per
-opcode; both must agree with these on every input, errors included.  The
-two share only the Trace and TraceHeader dataclasses.
+reader on each opcode's arity and reads fields through one table per
+parse, and branches the validator once per opcode; both must agree with
+these on every input, errors included.  The two share only the Trace and
+TraceHeader dataclasses.
 """
 
 from __future__ import annotations

@@ -55,6 +55,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EngineConfig(value, Policy("golden"))
 
+    @pytest.mark.parametrize("value", ["golden", None, 1])
+    def test_policy_must_be_a_policy(self, value):
+        # a str would reach Engine, which reads policy.is_dual_ring
+        message = f"policy must be a Policy, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EngineConfig(20, value)
+
     @pytest.mark.parametrize("value", [1, 0, None, "yes"])
     def test_gc_traffic_flag_must_be_a_bool(self, value):
         # a 1 would reach summary-json, which load_summary refuses

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_trace import reference_parse_trace, reference_validate_trace
 from test_oracle import reuse_ids, specs
 from wearsim.trace import (Trace, TraceHeader, format_trace, parse_trace,
                            parse_uint, validate_trace)
-from wearsim.workload import generate
+from wearsim.workload import WorkloadSpec, generate
 
 uints = st.integers(min_value=0, max_value=10**9)
 sizes = st.integers(min_value=1, max_value=10**6)
@@ -111,6 +111,13 @@ class TestParse:
 
     def test_crlf_tolerated(self):
         assert parse_trace("A 1 3\r\nG\r\n").events == [("A", 1, 3), ("G",)]
+
+    def test_crlf_trace_parses_as_lf(self):
+        text = format_trace(generate(WorkloadSpec("hotspot", 64, 4000, 16, seed=1)))
+        trace = parse_trace(text)
+        assert trace.header.suggested_mem_size_cells is not None
+        assert ("G",) in trace.events
+        assert parse_trace(text.replace("\n", "\r\n")) == trace
 
 
 class TestParseUint:
@@ -290,11 +297,20 @@ def hand_built_events(draw):
 
 
 class TestAgainstReference:
-    """The grammar-gated reader and the per-opcode validator against the
+    """The table-gated reader and the per-opcode validator against the
     per-line reader and the generic validator they replaced."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(trace_lines(), max_size=8).map("\n".join))
+    @example("R 1 2 3\r\r")  # one CR dropped: a field of "3\r"
+    @example("R 1\r 2 3")
+    @example("G\r")
+    @example("F 0")  # no size: an id of 0 is an event
+    @example("R 1 2 00")
+    @example("A 1 05")
+    @example("R x 2 " + "7" * 4400)  # the bad field first, not the digit limit
+    @example("#mem 5\r")
+    @example("A 1 3\r\n\r\r\nG\r\n\r")  # lone CR lines, in and at the end
     def test_parse_matches_reference(self, text):
         try:
             expected = reference_parse_trace(text)
