@@ -133,8 +133,8 @@ MUTANTS = [
            "if False:",
            ("tests/test_metrics.py::TestExport::test_percell_loads_one_run_per_run_written",)),
     # GC copies as ranges: one write of the movers' cells, one read per run
-    # of movers, and which objects move.  The live-cell total that a
-    # collection leaves in `used`.
+    # of movers, and which objects move, a free's gap in a single space
+    # included.  The live-cell total that a collection leaves in `used`.
     Mutant("engine: a free leaves its cells in the live total", ENGINE,
            "self.used = used",
            "self.used = self.used",
@@ -161,6 +161,11 @@ MUTANTS = [
            ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
             "tests/test_oracle.py::test_engine_matches_reference[none-True]",
             "tests/test_oracle.py::test_collections_match_reference[none]")),
+    Mutant("gc: a free leaves the single space gapless", ENGINE,
+           "self.gapless = False",
+           "pass",
+           ("tests/test_engine.py::TestSingleSpace::test_sliding_object_records_copy",
+            "tests/test_oracle.py::test_collections_of_a_single_space_match_reference")),
     Mutant("gc ranges: one read merging every source", ENGINE,
            "if base == end:",
            "if runs:",

@@ -8,10 +8,13 @@ ascending order of its current base cell, to consecutive addresses of
 the target space starting at the policy's next start location, and the
 target becomes the work space.  The target is the next space in turn:
 the idle ring with two rings, the work space itself with one, where the
-start is always 0.  The object table holds only the live set, each
-object a size and a base cell in the work space: a freed object leaves
-the table at once and simply stops being copied, and its cells are
-reclaimed at the next collection, not reused before it.
+start is always 0.  A single space with no free since its last
+collection has no gap, its live objects filling its block from 0 in base
+order, so its collection moves and reads nothing and ends its epoch
+without a walk of the live set.  The object table holds only the live
+set, each object a size and a base cell in the work space: a freed
+object leaves the table at once and simply stops being copied, and its
+cells are reclaimed at the next collection, not reused before it.
 
 Free space is `start`, the base of the block compacted at the last
 collection, and `used`, its cells plus all allocated since.  Events must
@@ -44,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
+from typing import Iterable
 
 from wearsim.memory import CellCounters
 from wearsim.metrics import CountingMode, WearReport, summarize
@@ -53,7 +57,7 @@ from wearsim.trace import Trace, TraceEvent
 
 class SimulationError(Exception):
     """The memory cannot hold an event: an object larger than a space, or no
-    room after a collection.  `process` also raises it for an unknown event."""
+    room after a collection.  `apply` also raises it for an unknown event."""
 
 
 @dataclass(slots=True)
@@ -117,6 +121,7 @@ class Engine:
         self.start = 0  # base of the block compacted at the last collection
         self.used = 0   # that block's cells plus every cell allocated since
         self.epochs: list[tuple[int, int, int]] = []  # each ended: (space, start, used)
+        self.gapless = True  # no free since the last collection
         self.event_count = 0
 
     def handle_alloc(self, object_id: int, size_cells: int) -> None:
@@ -137,6 +142,7 @@ class Engine:
 
     def handle_free(self, object_id: int) -> None:
         del self.objects[object_id]
+        self.gapless = False
 
     def handle_access(self, object_id: int, offset: int, length: int,
                       kind: str) -> None:
@@ -149,11 +155,13 @@ class Engine:
         """Compact the live set into the next space from the policy's start,
         recording one write range and one read range per run of adjacent
         source objects that move (see "Wear accounting" above)."""
-        live = sorted(self.objects.values(), key=attrgetter("base_cell"))
         source = self.work_ring
         target = (source + 1) % len(self.spaces)
         self.epochs.append((source, self.start, self.used))
         self.start = dest = self.policy_state.take(target)
+        if source == target and self.gapless:
+            return  # every object already sits at its destination
+        live = sorted(self.objects.values(), key=attrgetter("base_cell"))
         moved = used = 0
         runs: list[list[int]] = []  # [base, cells] of each run of adjacent movers
         end = None  # just past the last run, unwrapped: no later base is past the seam
@@ -178,27 +186,36 @@ class Engine:
         self.work_ring = target
         self.work_space = self.spaces[target]
         self.used = used
+        self.gapless = True
 
-    def process(self, event: TraceEvent) -> None:
-        """Apply one event of a trace that passes `validate_trace`.
+    def apply(self, events: Iterable[TraceEvent]) -> None:
+        """Apply the events, in order, of a trace that passes `validate_trace`.
 
-        Neither the event's shape nor the rules of the live set are checked
+        Neither an event's shape nor the rules of the live set are checked
         here: a malformed tuple, or an event that breaks one of those rules,
         may raise any exception or be applied as given.
         """
-        # handlers are looked up per call, so wrappers set on the class see all
-        opcode = event[0]
-        if opcode == "R" or opcode == "W":  # most events of most traces
-            self.handle_access(event[1], event[2], event[3], opcode)
-        elif opcode == "A":
-            self.handle_alloc(event[1], event[2])
-        elif opcode == "F":
-            self.handle_free(event[1])
-        elif opcode == "G":
-            self.handle_gc()
-        else:
-            raise SimulationError(f"unknown event {event!r}")
-        self.event_count += 1
+        # handlers are bound once per call, so wrappers set on the class
+        # before the call see every event
+        access, alloc, free, gc = (self.handle_access, self.handle_alloc,
+                                   self.handle_free, self.handle_gc)
+        for event in events:
+            opcode = event[0]
+            if opcode == "R" or opcode == "W":  # most events of most traces
+                access(event[1], event[2], event[3], opcode)
+            elif opcode == "A":
+                alloc(event[1], event[2])
+            elif opcode == "F":
+                free(event[1])
+            elif opcode == "G":
+                gc()
+            else:
+                raise SimulationError(f"unknown event {event!r}")
+            self.event_count += 1
+
+    def process(self, event: TraceEvent) -> None:
+        """Apply one event, as `apply` does."""
+        self.apply((event,))
 
     def build_report(self, mode: CountingMode = CountingMode.ACCESSES) -> WearReport:
         spans: list[list[tuple[int, int]]] = [[] for _ in self.spaces]
@@ -229,13 +246,12 @@ def replay(trace: Trace, config: EngineConfig,
 
     Deterministic: the same trace and config always produce an
     identical report.  The trace must pass `validate_trace`, the one
-    gate on hand-built traces, as `Engine.process` requires; a
+    gate on hand-built traces, as `Engine.apply` requires; a
     SimulationError then means the memory cannot hold the trace.
     """
     engine = Engine(config)
     try:
-        for event in trace.events:
-            engine.process(event)
+        engine.apply(trace.events)
     except SimulationError as err:
         # event_count counts the events applied, so it indexes the failing one
         raise SimulationError(f"event {engine.event_count}: {err}") from err

@@ -257,9 +257,20 @@ _REMAINDERS = [f"{r:03}" for r in range(PERCELL_BLOCK_CELLS)]
 _DIGITS = {d: d.encode() * PERCELL_BLOCK_CELLS for d in "0123456789"}
 
 
+class _RunTexts(dict):
+    """One export's row texts: a (reads, writes) pair missing from the table
+    is formatted once as ",reads,writes\n"."""
+
+    def __missing__(self, counts: tuple[int, int]) -> str:
+        reads, writes = counts
+        text = self[counts] = f",{reads},{writes}\n"
+        return text
+
+
 def write_percell_csv(report: WearReport, sink) -> None:
     # Each block is one write.  Its rows differ only in their remainders and
-    # in their runs' text ",reads,writes\n", formatted once per distinct
+    # in their runs' text ",reads,writes\n": each run's text is looked up
+    # once, in one pass before the blocks, and formatted once per distinct
     # pair.  A block's runs are found by bisecting the run ends.  A full
     # block past block 0 that one run fills is its text's rows under a blank
     # prefix, built again only when the text or the prefix width changes,
@@ -269,7 +280,7 @@ def write_percell_csv(report: WearReport, sink) -> None:
     # calls, however many runs it holds.
     sink.write("address,reads,writes\n")
     lengths, reads, writes = report.run_lengths, report.run_reads, report.run_writes
-    texts = {(r, w): f",{r},{w}\n" for r, w in set(zip(reads, writes))}
+    run_texts = list(map(_RunTexts().__getitem__, zip(reads, writes)))
     ends = list(accumulate(lengths))
     cells = ends[-1] if ends else 0
     filled_key = None  # (text, prefix width) of `rows`
@@ -280,7 +291,7 @@ def write_percell_csv(report: WearReport, sink) -> None:
         prefix = str(start // PERCELL_BLOCK_CELLS)
         j = bisect_right(ends, stop - 1, i)  # the run that holds its last cell
         if i == j and start and n == PERCELL_BLOCK_CELLS:
-            text = texts[reads[i], writes[i]]
+            text = run_texts[i]
             key = (text, len(prefix))
             if key != filled_key:
                 filled_key, pad = key, " " * len(prefix)
@@ -295,10 +306,9 @@ def write_percell_csv(report: WearReport, sink) -> None:
             counts = lengths[i:j + 1]  # each run's cells in the block
             counts[0] = ends[i] - start
             counts[-1] -= ends[j] - stop
-            run_texts = map(texts.__getitem__, zip(reads[i:j + 1], writes[i:j + 1]))
             pieces = [prefix] * (3 * n)
             pieces[1::3] = table[:n]
-            pieces[2::3] = chain.from_iterable(map(repeat, run_texts, counts))
+            pieces[2::3] = chain.from_iterable(map(repeat, run_texts[i:j + 1], counts))
             sink.write("".join(pieces))
         i = j + (ends[j] == stop)  # the next block starts the next run
 

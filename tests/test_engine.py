@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from invariants import assert_disjoint_live, assert_post_gc_invariants
 from reference_replayer import reference_replay
 from test_memory import cell_counts, whole_runs
-from test_oracle import assert_same_counts, mem_divisors, specs
+from test_oracle import assert_same_counts, churn_specs, mem_divisors, specs
 from wearsim.engine import (MAX_MEM_CELLS, Engine, EngineConfig, SimulationError,
                             replay)
 from wearsim.memory import CellCounters
@@ -344,9 +344,32 @@ class TestSingleSpace:
     def test_unmoved_object_records_nothing(self):
         engine = engine_for(20, "single")
         engine.handle_alloc(1, 3)
-        engine.handle_gc()  # already at 0: no traffic
+        engine.handle_alloc(2, 2)
+        engine.handle_free(2)  # a free, so the collection walks the live set
+        engine.handle_gc()  # 1 already at 0: no traffic
         assert cell_total(engine) == 0
         assert engine.objects[1].base_cell == 0
+        assert engine.used == 3
+
+    def test_collections_with_no_free_between_move_nothing(self, monkeypatch):
+        calls = watch_gc_calls(monkeypatch)
+        engine = engine_for(20, "single")
+        engine.handle_alloc(1, 3)
+        engine.handle_gc()
+        engine.handle_alloc(2, 2)
+        engine.handle_gc()
+        assert calls == [[], []] and cell_total(engine) == 0
+        assert {object_id: (r.size_cells, r.base_cell)
+                for object_id, r in engine.objects.items()} == {1: (3, 0), 2: (2, 3)}
+        assert engine.used == 5
+        assert engine.epochs == [(0, 0, 3), (0, 0, 5)]
+        engine.handle_free(1)
+        engine.handle_gc()  # 2 slides to 0
+        assert engine.objects[2].base_cell == 0 and engine.used == 2
+        assert calls[2] == [(0, 3, 2, "R"), (0, 0, 2, "W")]
+        engine.handle_gc()
+        assert calls[3] == [] and cell_total(engine) == 4
+        assert engine.epochs == [(0, 0, 3), (0, 0, 5), (0, 0, 5), (0, 0, 2)]
 
     def test_sliding_object_records_copy(self):
         engine = engine_for(20, "single")
@@ -474,6 +497,37 @@ class TestReplay:
         replay(trace, EngineConfig(20, Policy("golden")))
         assert calls == ["handle_alloc", "handle_access", "handle_access",
                          "handle_gc", "handle_free"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=churn_specs, mem_divisor=mem_divisors,
+           kind=st.sampled_from(["golden", "quarter", "fraction:0.3", "none",
+                                 "random", "single"]),
+           random_seed=st.integers(0, 1000))
+    def test_apply_equals_process(self, spec, mem_divisor, kind, random_seed):
+        policy = f"random:{random_seed}" if kind == "random" else kind
+        trace = generate(spec)
+        mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
+        config = EngineConfig(mem, parse_policy(policy))
+        applied, processed = Engine(config), Engine(config)
+        failed_at = []
+        try:
+            applied.apply(trace.events)
+        except SimulationError:
+            failed_at.append(applied.event_count)
+        try:
+            for event in trace.events:
+                processed.process(event)
+        except SimulationError:
+            failed_at.append(processed.event_count)
+        assert len(failed_at) != 1 and len(set(failed_at)) <= 1
+
+        def state(engine):
+            report = engine.build_report()
+            return (engine.epochs, engine.event_count,
+                    {object_id: (r.size_cells, r.base_cell)
+                     for object_id, r in engine.objects.items()},
+                    report.run_lengths, report.run_reads, report.run_writes)
+        assert state(applied) == state(processed)
 
     def test_live_set_is_policy_independent(self):
         trace = generate(WorkloadSpec("churn", 8, 600, 3, gc_every=37, seed=9))
