@@ -113,6 +113,12 @@ MUTANTS = [
            ("tests/test_metrics.py::TestTopN::test_equals_sorted_prefix",
             "tests/test_metrics.py::TestTopN::test_runs_of_a_huge_report_stay_runs",
             "tests/test_cli.py::TestReport::test_topn_from_percell")),
+    Mutant("top-N: the runs at the floor dropped", METRICS,
+           "if count >= floor]",
+           "if count > floor]",
+           ("tests/test_metrics.py::TestTopN::test_more_runs_than_n_with_ties_at_the_floor[1-accesses]",
+            "tests/test_metrics.py::TestTopN::test_more_runs_than_n_with_ties_at_the_floor[4-writes]",
+            "tests/test_metrics.py::TestTopN::test_equals_sorted_prefix")),
     Mutant("top-N: views over unlike runs read as runs", METRICS,
            'if lengths is None or getattr(reads, "lengths", None) is not lengths:',
            "if lengths is None:",
@@ -135,6 +141,12 @@ MUTANTS = [
     # GC copies as ranges: one write of the movers' cells, one read per run
     # of movers, and which objects move, a free's gap in a single space
     # included.  The live-cell total that a collection leaves in `used`.
+    Mutant("apply: no event counted", ENGINE,
+           "count += 1",
+           "pass",
+           ("tests/test_engine.py::TestReplay::test_event_count_after_an_exception[no-room-after-gc]",
+            "tests/test_engine.py::TestReplay::test_event_count_after_an_exception[dead-object]",
+            "tests/test_cli.py::TestRun::test_trivial_trace")),
     Mutant("engine: a free leaves its cells in the live total", ENGINE,
            "self.used = used",
            "self.used = self.used",
@@ -142,12 +154,12 @@ MUTANTS = [
             "tests/test_engine.py::TestAlloc::test_exact_fit_after_gc",
             "tests/test_engine.py::TestGc::test_copy_preserves_base_order")),
     Mutant("gc ranges: the write from the space's start", ENGINE,
-           "(dest - moved) % self.capacity",
+           "(dest - moved) % capacity",
            "self.start",
            ("tests/test_engine.py::TestGcRanges::test_ranges[tail-True]",
             "tests/test_oracle.py::test_engine_matches_reference[single-True]")),
     Mutant("gc: an object already in place is copied", ENGINE,
-           "if base != dest or source != target:",
+           "if moving or base != dest:",
            "if True:",
            ("tests/test_engine.py::TestGcRanges::test_ranges[tail-True]",
             "tests/test_engine.py::TestSingleSpace::test_unmoved_object_records_nothing",
@@ -156,7 +168,7 @@ MUTANTS = [
             "tests/test_oracle.py::test_collections_of_a_single_space_match_reference")),
     Mutant("gc: an object at its destination's cell in the other ring is not copied",
            ENGINE,
-           "if base != dest or source != target:",
+           "if moving or base != dest:",
            "if base != dest:",
            ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
             "tests/test_oracle.py::test_engine_matches_reference[none-True]",
@@ -168,11 +180,18 @@ MUTANTS = [
             "tests/test_oracle.py::test_collections_of_a_single_space_match_reference")),
     Mutant("gc ranges: one read merging every source", ENGINE,
            "if base == end:",
-           "if runs:",
+           "if run_cells:",
            ("tests/test_engine.py::TestGcRanges::test_ranges[seam-True]",
             "tests/test_engine.py::TestGcRanges::test_one_write_and_one_read_per_run")),
     # The counters: one difference array in which a write counts 2**64, so
-    # a cell's sum is its reads plus 2**64 times its writes.
+    # a cell's sum is its reads plus 2**64 times its writes.  A range that
+    # ends at or before the last cell costs two updates, any other wraps.
+    Mutant("counters: a range ending one cell past the ring taken as in-ring", MEMORY,
+           "end <= size and kind in _UNITS",
+           "end <= size + 1 and kind in _UNITS",
+           ("tests/test_memory.py::TestRecordRange::test_range_ending_at_the_last_cell_does_not_wrap",
+            "tests/test_memory.py::TestRecordRange::test_every_range_of_small_rings[read]",
+            "tests/test_memory.py::TestRecordRange::test_every_range_of_small_rings[write]")),
     Mutant("counters: a write unit smaller than the reads it sits above", MEMORY,
            '"W": 1 << 64',
            '"W": 1 << 4',
@@ -276,10 +295,16 @@ MUTANTS = [
            ("tests/test_trace.py::TestParse::test_zero_length_rejected",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
     Mutant("parse: no line read as an event", TRACE,
-           "if arity_of(fields[0]) == arity:",
-           "if False:",
+           "arity = len(fields)",
+           "arity = 0",
            ("tests/test_trace.py::TestParse::test_basic",
             "tests/test_trace.py::TestParse::test_crlf_tolerated",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
+    Mutant("parse: a line's new texts read out of order", TRACE,
+           "for text in texts:",
+           "for text in reversed(texts):",
+           ("tests/test_trace.py::TestParse::test_fields_read_in_order[A-two-bad]",
+            "tests/test_trace.py::TestParse::test_fields_read_in_order[R-two-bad-after-a-known]",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
     Mutant("parse: every trailing CR stripped", TRACE,
            '''        text = text.replace("\\r\\n", "\\n")

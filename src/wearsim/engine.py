@@ -162,26 +162,32 @@ class Engine:
         if source == target and self.gapless:
             return  # every object already sits at its destination
         live = sorted(self.objects.values(), key=attrgetter("base_cell"))
+        capacity = self.capacity
+        moving = source != target  # with two rings every object moves
         moved = used = 0
-        runs: list[list[int]] = []  # [base, cells] of each run of adjacent movers
+        runs: list[tuple[int, int]] = []  # (base, cells) of each run of adjacent movers
+        run_base = run_cells = 0  # the run being extended; no run yet if 0 cells
         end = None  # just past the last run, unwrapped: no later base is past the seam
         for record in live:
             base, size = record.base_cell, record.size_cells
-            if base != dest or source != target:
+            if moving or base != dest:
                 if base == end:
-                    runs[-1][1] += size
+                    run_cells += size
                 else:
-                    runs.append([base, size])
+                    if run_cells:
+                        runs.append((run_base, run_cells))
+                    run_base, run_cells = base, size
                 end = base + size
                 moved += size
                 record.base_cell = dest
-            dest = (dest + size) % self.capacity
+            dest = (dest + size) % capacity
             used += size
         if self.config.count_gc_traffic and moved:
+            runs.append((run_base, run_cells))
             for base, cells in runs:
                 self.spaces[source].record_range(base, cells, "R")
             # the movers' cells end the compacted block
-            self.spaces[target].record_range((dest - moved) % self.capacity, moved, "W")
+            self.spaces[target].record_range((dest - moved) % capacity, moved, "W")
         # "clean" the old work space: metadata only, no cell traffic
         self.work_ring = target
         self.work_space = self.spaces[target]
@@ -193,25 +199,32 @@ class Engine:
 
         Neither an event's shape nor the rules of the live set are checked
         here: a malformed tuple, or an event that breaks one of those rules,
-        may raise any exception or be applied as given.
+        may raise any exception or be applied as given.  The call counts
+        the events it applies and adds that count to `event_count` when it
+        returns or raises, so after an exception `event_count` indexes the
+        failing event.
         """
         # handlers are bound once per call, so wrappers set on the class
         # before the call see every event
         access, alloc, free, gc = (self.handle_access, self.handle_alloc,
                                    self.handle_free, self.handle_gc)
-        for event in events:
-            opcode = event[0]
-            if opcode == "R" or opcode == "W":  # most events of most traces
-                access(event[1], event[2], event[3], opcode)
-            elif opcode == "A":
-                alloc(event[1], event[2])
-            elif opcode == "F":
-                free(event[1])
-            elif opcode == "G":
-                gc()
-            else:
-                raise SimulationError(f"unknown event {event!r}")
-            self.event_count += 1
+        count = 0
+        try:
+            for event in events:
+                opcode = event[0]
+                if opcode == "R" or opcode == "W":  # most events of most traces
+                    access(event[1], event[2], event[3], opcode)
+                elif opcode == "A":
+                    alloc(event[1], event[2])
+                elif opcode == "F":
+                    free(event[1])
+                elif opcode == "G":
+                    gc()
+                else:
+                    raise SimulationError(f"unknown event {event!r}")
+                count += 1
+        finally:
+            self.event_count += count
 
     def process(self, event: TraceEvent) -> None:
         """Apply one event, as `apply` does."""

@@ -55,9 +55,18 @@ class CellCounters:
         """Add one access of `kind` to each of `len_cells` cells from `base_cell`.
 
         `kind` is the access's opcode, "R" or "W".  A range longer than the
-        ring would overlap itself, so it is rejected.
+        ring would overlap itself, so it is rejected.  A range of a known
+        kind that ends at or before the last cell costs two updates; any
+        other call is checked, and wrapped at the seam, below.
         """
         size = self.size_cells
+        end = base_cell + len_cells
+        if 0 <= base_cell and 0 < len_cells and end <= size and kind in _UNITS:
+            deltas = self._deltas
+            unit = _UNITS[kind]
+            deltas[base_cell] += unit
+            deltas[end] -= unit
+            return
         if not (0 <= base_cell < size and 1 <= len_cells <= size):
             if not 0 <= base_cell < size:
                 raise ValueError(f"base_cell {base_cell} outside ring of {size} cells")
@@ -68,15 +77,12 @@ class CellCounters:
             unit = _UNITS[kind]
         except KeyError:
             raise ValueError(f"access kind must be 'R' or 'W', got {kind!r}") from None
+        # it wraps the seam: two pieces, [base_cell, size) and [0, end - size)
         deltas = self._deltas
-        end = base_cell + len_cells
         deltas[base_cell] += unit
-        if end <= size:
-            deltas[end] -= unit
-        else:  # two pieces: [base_cell, size) and [0, end - size)
-            deltas[size] -= unit
-            deltas[0] += unit
-            deltas[end - size] -= unit
+        deltas[size] -= unit
+        deltas[0] += unit
+        deltas[end - size] -= unit
 
     def runs(self, spans: list[tuple[int, int]]
              ) -> tuple[list[int], list[int], list[int]]:

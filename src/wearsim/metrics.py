@@ -163,7 +163,10 @@ def top_n_distribution(reads: CellRuns, writes: CellRuns,
     WearReport and load_percell_csv give; anything else is a ValueError.
     heapq.nlargest picks the n largest (count, length) runs, which cover at
     least n cells, and each count is emitted once per cell of its run until
-    n are out, so the cost is O(runs).
+    n are out, so the cost is O(runs).  With more runs than n, the n-th
+    largest run count is a floor that every run of the top n cells reaches,
+    so only the runs at or above it, found by a cheaper nlargest over the
+    bare counts, go to that pick.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -171,9 +174,13 @@ def top_n_distribution(reads: CellRuns, writes: CellRuns,
     if lengths is None or getattr(reads, "lengths", None) is not lengths:
         raise ValueError("top-N reads two CellRuns over one lengths list")
     counts = (writes.values if mode is CountingMode.WRITES
-              else map(add, reads.values, writes.values))
+              else list(map(add, reads.values, writes.values)))
+    runs = zip(counts, lengths)
+    if len(lengths) > n:
+        floor = nlargest(n, counts)[-1]
+        runs = [(count, length) for count, length in runs if count >= floor]
     top: list[int] = []
-    for count, length in nlargest(n, zip(counts, lengths)):
+    for count, length in nlargest(n, runs):
         top += repeat(count, min(length, n - len(top)))
     return top
 

@@ -20,13 +20,13 @@ Wire format (UTF-8 text, LF line endings)::
 Fields are unsigned ASCII decimals separated by single spaces, and a
 size or length is at least 1.  The table above is the grammar, and the
 only gate on an event line: parse_trace reads an event from a line whose
-field count is its opcode's arity (`_OPCODE_ARITY`), whose fields
-parse_uint reads, once per distinct text in a parse, and whose size or
-length is not 0.  Any other line that is neither blank nor a comment is
-refused for the first of these it breaks, in that order, its fields
-taken in turn.  parse_trace reads the format from a ``str`` and
-format_trace renders it to one; callers do their own file I/O and
-decoding.
+field count is its opcode's arity (its branches, on the field count and
+then the opcode, follow `_OPCODE_ARITY`), whose fields parse_uint reads,
+once per distinct text in a parse, and whose size or length is not 0.
+Any other line that is neither blank nor a comment is refused for the
+first of these it breaks, in that order, its fields taken in turn.
+parse_trace reads the format from a ``str`` and format_trace renders it
+to one; callers do their own file I/O and decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
@@ -38,6 +38,7 @@ by its per-opcode branches alone, is a tuple that no line could produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NoReturn
 
 FORMAT_VERSION = 1
@@ -85,13 +86,14 @@ def _parse_version(line: str) -> None:
         raise ValueError(f"unsupported trace format version {version}")
 
 
-class _FieldValues(dict):
-    """One parse's field texts and their values: a text missing from the
-    table is read once with parse_uint, so equal texts share one int."""
-
-    def __missing__(self, text: str) -> int:
-        value = self[text] = parse_uint(text)
-        return value
+def _read_fields(value: dict[str, int], texts: list[str]) -> list[int]:
+    """The values of `texts`: a text not yet in the table `value` is read
+    with parse_uint and kept there, the texts taken in order, so the first
+    bad one is the one named."""
+    for text in texts:
+        if text not in value:
+            value[text] = parse_uint(text)
+    return [value[text] for text in texts]
 
 
 def _refuse_event(fields: list[str]) -> NoReturn:
@@ -107,11 +109,13 @@ def _refuse_event(fields: list[str]) -> NoReturn:
 def parse_trace(text: str) -> Trace:
     """Parse wire-format text into a Trace.
 
-    Reads one string, with LF or CRLF line endings.  A line whose field
-    count is its opcode's arity is an event, its fields read in order
-    through one `_FieldValues` table and its size or length checked;
-    `_refuse_event` refuses any other line that is neither blank nor a
-    comment.  Raises ValueError naming the first offending line: its
+    Reads one string, with LF or CRLF line endings.  A line is an event
+    when its field count is its opcode's arity: the branches on the field
+    count, then the opcode, follow `_OPCODE_ARITY`.  An event's fields are
+    looked up in one table of the texts read so far in this parse, a line
+    with a new text goes through `_read_fields`, and its size or length is
+    checked.  `_refuse_event` refuses any other line that is neither blank
+    nor a comment.  Raises ValueError naming the first offending line: its
     message ends " at line <n>".
     """
     if "\r" in text:
@@ -123,36 +127,53 @@ def parse_trace(text: str) -> Trace:
     events: list[TraceEvent] = []
     append = events.append
     suggested: int | None = None
-    value = _FieldValues()
-    arity_of = _OPCODE_ARITY.get
+    value: dict[str, int] = {}
+    lines = text.split("\n")
+    line_no = 0
     try:
-        for line_no, line in enumerate(text.split("\n"), start=1):
-            fields = line.split(" ")
+        for fields in map(str.split, lines, repeat(" ")):
+            line_no += 1
             arity = len(fields)
-            if arity_of(fields[0]) == arity:
-                if arity == 4:
-                    opcode, object_id, offset, length = fields
-                    event = (opcode, value[object_id], value[offset], value[length])
+            opcode = fields[0]
+            if arity == 4:
+                if opcode == "R" or opcode == "W":
+                    try:
+                        event = (opcode, value[fields[1]], value[fields[2]],
+                                 value[fields[3]])
+                    except KeyError:
+                        event = (opcode, *_read_fields(value, fields[1:]))
                     if not event[3]:
                         raise ValueError("length must be >= 1")
-                elif arity == 3:
-                    opcode, object_id, size = fields
-                    event = (opcode, value[object_id], value[size])
+                    append(event)
+                    continue
+            elif arity == 3:
+                if opcode == "A":
+                    try:
+                        event = (opcode, value[fields[1]], value[fields[2]])
+                    except KeyError:
+                        event = (opcode, *_read_fields(value, fields[1:]))
                     if not event[2]:
                         raise ValueError("size must be >= 1")
-                elif arity == 2:
-                    event = (fields[0], value[fields[1]])
-                else:  # G, the one opcode of arity 1
-                    event = GC
-                append(event)
+                    append(event)
+                    continue
+            elif arity == 2:
+                if opcode == "F":
+                    try:
+                        append((opcode, value[fields[1]]))
+                    except KeyError:
+                        append((opcode, *_read_fields(value, fields[1:])))
+                    continue
+            elif arity == 1 and opcode == "G":
+                append(GC)
                 continue
+            line = lines[line_no - 1]
             if not line.strip():
                 continue
             if not line.startswith("#"):
                 _refuse_event(fields)
             elif line_no == 1 and line.startswith("#!"):
                 _parse_version(line)
-            elif fields[0] == "#mem":
+            elif opcode == "#mem":
                 if arity != 2:
                     raise ValueError("malformed #mem header")
                 suggested = parse_uint(fields[1])

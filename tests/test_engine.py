@@ -486,6 +486,22 @@ class TestReplay:
         with pytest.raises(SimulationError, match="event 0: unknown event"):
             replay(Trace([("X", 1)]), EngineConfig(20, Policy("golden")))
 
+    # an exception in the middle of an apply leaves event_count at the
+    # index of the failing event, counted across calls
+    @pytest.mark.parametrize("events, error, failing", [
+        ([("A", 2, 4)], SimulationError, 0),
+        ([("A", 2, 1), ("A", 3, 4)], SimulationError, 1),
+        ([("W", 1, 0, 2), ("X", 1)], SimulationError, 1),
+        ([("R", 1, 0, 1), ("G",), ("W", 9, 0, 1)], KeyError, 2),
+    ], ids=["no-room", "no-room-after-gc", "unknown-event", "dead-object"])
+    def test_event_count_after_an_exception(self, events, error, failing):
+        engine = engine_for(mem=8)
+        engine.apply([("A", 1, 2), ("W", 1, 0, 2)])
+        assert engine.event_count == 2
+        with pytest.raises(error):
+            engine.apply(events)
+        assert engine.event_count == 2 + failing
+
     def test_dispatch_finds_handlers_wrapped_on_the_class(self, monkeypatch):
         calls = []
         for name in ("handle_alloc", "handle_free", "handle_access", "handle_gc"):

@@ -83,9 +83,29 @@ class TestRecordRange:
     def test_unknown_kind_rejected(self):
         # a kind other than the opcodes "R" and "W" is refused, not counted
         ring = CellCounters(4)
-        with pytest.raises(ValueError, match="got 'write'"):
+        with pytest.raises(ValueError,
+                           match="^access kind must be 'R' or 'W', got 'write'$"):
             ring.record_range(0, 2, "write")
         assert whole_runs(ring) == ([4], [0], [0])
+
+    def test_range_ending_at_the_last_cell_does_not_wrap(self):
+        ring = CellCounters(10)
+        ring.record_range(6, 4, "W")
+        assert cell_counts(ring, "W") == [0] * 6 + [1] * 4
+        ring.record_range(6, 5, "R")  # one cell longer: it wraps to cell 0
+        assert cell_counts(ring, "R") == [1] + [0] * 5 + [1] * 4
+
+    # the range is checked before the kind
+    @pytest.mark.parametrize("base, length, message", [
+        (10, 1, "base_cell 10 outside ring of 10 cells"),
+        (-1, 1, "base_cell -1 outside ring of 10 cells"),
+        (0, 0, "len_cells must be >= 1, got 0"),
+        (0, 11, "range of 11 cells exceeds ring size 10"),
+    ], ids=["base-past-the-ring", "negative-base", "empty", "longer-than-the-ring"])
+    def test_unknown_kind_of_a_bad_range(self, base, length, message):
+        with pytest.raises(ValueError) as err:
+            CellCounters(10).record_range(base, length, "X")
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("kind", ["R", "W"], ids=["read", "write"])
     def test_every_range_of_small_rings(self, kind):

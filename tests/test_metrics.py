@@ -183,6 +183,22 @@ class TestTopN:
         assert (top_n_distribution(reads, writes, mode, n)
                 == sorted(counts, reverse=True)[:n])
 
+    # More runs than n: only the runs at or above the n-th largest run
+    # count are ranked, and the runs tied at that floor are among them.
+    @pytest.mark.parametrize("mode", list(CountingMode))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_more_runs_than_n_with_ties_at_the_floor(self, mode, n):
+        runs = [(1, 0, 6), (2, 3, 1), (1, 9, 0), (3, 0, 4), (1, 2, 2),
+                (2, 5, 4), (1, 0, 4), (1, 1, 1), (2, 0, 9), (1, 4, 0)]
+        report = report_of_runs(runs)
+        cell_reads, cell_writes = cells_of(runs)
+        counts = (cell_writes if mode is CountingMode.WRITES
+                  else [r + w for r, w in zip(cell_reads, cell_writes)])
+        assert len(runs) > n
+        assert (top_n_distribution(report.per_cell_reads, report.per_cell_writes,
+                                   mode, n)
+                == sorted(counts, reverse=True)[:n])
+
     def test_plain_lists_are_refused(self):
         with pytest.raises(ValueError, match="^top-N reads two CellRuns"):
             top_n_distribution([0, 0], [4, 2], CountingMode.ACCESSES, 1)

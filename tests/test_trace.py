@@ -109,6 +109,49 @@ class TestParse:
     def test_zero_padded_fields(self):
         assert parse_trace("A 1 05\nR 1 00 01\n").events == [("A", 1, 5), ("R", 1, 0, 1)]
 
+    # The branches on the field count, then the opcode, follow
+    # _OPCODE_ARITY: each opcode with one field too few, its arity and one
+    # field too many, and an unknown opcode at every event arity.
+    @pytest.mark.parametrize("opcode, arity, fields", [
+        (opcode, arity, arity + delta)
+        for opcode, arity in [("A", 3), ("F", 2), ("R", 4), ("W", 4), ("G", 1)]
+        for delta in (-1, 0, 1) if arity + delta >= 1])
+    def test_event_iff_field_count_is_arity(self, opcode, arity, fields):
+        line = " ".join([opcode] + ["1"] * (fields - 1))
+        if fields == arity:
+            assert parse_trace(line + "\n").events == [(opcode, *[1] * (arity - 1))]
+        else:
+            with pytest.raises(ValueError, match=f"^expected {arity} fields for "
+                               f"'{opcode}', got {fields} at line 1$"):
+                parse_trace(line + "\n")
+
+    @pytest.mark.parametrize("fields", [1, 2, 3, 4])
+    def test_unknown_opcode_at_every_arity(self, fields):
+        with pytest.raises(ValueError, match="^unknown opcode 'X' at line 2$"):
+            parse_trace("A 1 1\n" + " ".join(["X"] + ["1"] * (fields - 1)) + "\n")
+
+    # A line with a text not read before in the parse: its new texts are
+    # read in order, so of two bad ones the first is named, and its size or
+    # length is still checked.
+    @pytest.mark.parametrize("text, message", [
+        ("A x y\n", "non-integer field 'x' at line 1"),
+        ("F -1\n", "non-integer field '-1' at line 1"),
+        ("A 1 2\nR 1 p q\n", "non-integer field 'p' at line 2"),
+        ("A 1 2\nW 7 2 q\n", "non-integer field 'q' at line 2"),
+        ("A 1 2\nR a 1 b\n", "non-integer field 'a' at line 2"),
+        ("A 7 0\n", "size must be >= 1 at line 1"),
+        ("A 1 5\nR 1 3 0\n", "length must be >= 1 at line 2"),
+        # and with every text read before
+        ("A 0 1\nA 1 0\n", "size must be >= 1 at line 2"),
+        ("A 1 3\nR 1 0 3\nR 1 3 0\n", "length must be >= 1 at line 3"),
+    ], ids=["A-two-bad", "F-bad", "R-two-bad-after-a-known", "W-new-then-bad",
+            "R-bad-known-bad", "A-new-zero", "R-new-zero", "A-known-zero",
+            "R-known-zero"])
+    def test_fields_read_in_order(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_trace(text)
+        assert str(err.value) == message
+
     def test_crlf_tolerated(self):
         assert parse_trace("A 1 3\r\nG\r\n").events == [("A", 1, 3), ("G",)]
 
