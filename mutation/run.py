@@ -119,6 +119,12 @@ MUTANTS = [
            ("tests/test_metrics.py::TestTopN::test_more_runs_than_n_with_ties_at_the_floor[1-accesses]",
             "tests/test_metrics.py::TestTopN::test_more_runs_than_n_with_ties_at_the_floor[4-writes]",
             "tests/test_metrics.py::TestTopN::test_equals_sorted_prefix")),
+    Mutant("top-N: no floor for a table with no runs", METRICS,
+           "min(nlargest(n, counts), default=0)",
+           "nlargest(n, counts)[-1]",
+           ("tests/test_metrics.py::TestTopN::test_views_over_no_runs[accesses]",
+            "tests/test_metrics.py::TestTopN::test_views_over_no_runs[writes]",
+            "tests/test_cli.py::TestReport::test_topn_from_a_header_only_percell[accesses]")),
     Mutant("top-N: views over unlike runs read as runs", METRICS,
            'if lengths is None or getattr(reads, "lengths", None) is not lengths:',
            "if lengths is None:",
@@ -219,8 +225,8 @@ MUTANTS = [
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
     Mutant("runs: the ring's last cell never scanned", MEMORY,
-           "min(ends[start], size)",
-           "min(ends[start], size - 1)",
+           "min(end, size)",
+           "min(end, size - 1)",
            ("tests/test_memory.py::test_runs_of_large_rings",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[golden]",
             "tests/test_oracle.py::test_runs_match_reference_at_the_last_block[single]")),
@@ -231,22 +237,23 @@ MUTANTS = [
             "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
             "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
     Mutant("runs: arcs taken in the order given", MEMORY,
-           "for start in sorted(ends):",
-           "for start in ends:",
+           "for start, end in sorted(arcs):",
+           "for start, end in arcs:",
            ("tests/test_memory.py::test_runs_read_over_the_arcs",
             "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
             "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
-    Mutant("runs: of the arcs from one start, only the first kept", MEMORY,
-           "if end > ends.get(start, 0):",
-           "if start not in ends:",
-           ("tests/test_memory.py::test_runs_read_over_the_arcs",
-            "tests/test_memory.py::test_runs_over_arcs_that_share_a_start")),
+    Mutant("runs: an arc that starts inside the scanned stretch skipped", MEMORY,
+           "if hi > done:",
+           "if hi > done and start >= done:",
+           ("tests/test_memory.py::test_runs_over_arcs_that_share_a_start",
+            "tests/test_memory.py::test_runs_read_over_the_arcs",
+            "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
     # The report reads only the cells its epochs cover: each epoch's arc and
     # the cell just past it, on both sides of the seam, every epoch included.
     Mutant("report spans: an arc's stretch ends before the cell just past it",
            MEMORY,
-           "end = start + cells + 1",
-           "end = start + cells",
+           "(start, start + cells + 1)",
+           "(start, start + cells)",
            ("tests/test_memory.py::test_runs_read_over_the_arcs",
             "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
     Mutant("report spans: the piece past the seam dropped", MEMORY,
@@ -256,7 +263,7 @@ MUTANTS = [
             "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",
             "tests/test_oracle.py::test_report_reads_every_cell_that_changed")),
     Mutant("report spans: the cells past the seam not scanned first", MEMORY,
-           "done = max(0, max(ends.values(), default=0) - size)",
+           "done = max(0, max([end for _, end in arcs], default=0) - size)",
            "done = 0",
            ("tests/test_memory.py::test_runs_read_over_the_arcs",
             "tests/test_memory.py::test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest",

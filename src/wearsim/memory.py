@@ -7,19 +7,8 @@ single-space baseline).  Counters only ever increase; nothing here
 models data contents, timing, or device internals, because wear is
 decided purely by how often each cell is touched.
 
-Both access kinds share one difference array (Blelloch 1990, "Prefix
-Sums and Their Applications"): a read range adds 1 at its first cell and
-subtracts 1 just past its end, and a write range does the same with
-2^64, the unit of the trace opcode "W".  The prefix sum up to a cell is
-then its reads plus 2^64 times its writes.  That packing is exact, since
-no cell takes 2^64 read ranges, so the reads never carry into the
-writes; for the same reason a packed delta is 0 only where both kinds'
-deltas are 0.  Recording a range costs two O(1) updates, four when it
-wraps the seam, whatever its length.  The counts are read only as runs
-of equal (reads, writes): a run starts wherever the packed delta is
-nonzero.  Finding the runs scans each cell of the given spans, and the
-cell just past each, once and in C; everything after that grows with the
-number of runs, not of cells.
+CellCounters records an access range in O(1), whatever its length, and
+reads the counts back only as runs of cells with equal reads and writes.
 """
 
 from __future__ import annotations
@@ -34,13 +23,14 @@ _READS = (1 << 64) - 1  # the bits of a packed count that hold the reads
 class CellCounters:
     """Read and write counters for one space of cells.
 
-    One difference array of `size_cells + 1` entries holds both kinds: a
-    range adds its kind's unit, 1 for a read and 2^64 for a write, at its
-    first cell and subtracts it just past its last, so the running sum up
-    to cell c is c's reads plus 2^64 times its writes.  Reads stay below
-    2^64 on any trace, so the sum never carries from one kind into the
-    other, and a delta is 0 only where neither kind's count changes.  The
-    extra entry takes the unit of a range that ends at the last cell.
+    One difference array (Blelloch 1990, "Prefix Sums and Their
+    Applications") of `size_cells + 1` entries holds both kinds: a range
+    adds its kind's unit, 1 for a read and 2^64 for a write, at its first
+    cell and subtracts it just past its last, so the running sum up to
+    cell c is c's reads plus 2^64 times its writes.  Reads stay below 2^64
+    on any trace, so the sum never carries from one kind into the other,
+    and a delta is 0 only where neither kind's count changes.  The extra
+    entry takes the unit of a range that ends at the last cell.
     `runs` builds fresh lists on each call and leaves the counters as
     they are.
     """
@@ -54,10 +44,12 @@ class CellCounters:
     def record_range(self, base_cell: int, len_cells: int, kind: str) -> None:
         """Add one access of `kind` to each of `len_cells` cells from `base_cell`.
 
-        `kind` is the access's opcode, "R" or "W".  A range longer than the
-        ring would overlap itself, so it is rejected.  A range of a known
-        kind that ends at or before the last cell costs two updates; any
-        other call is checked, and wrapped at the seam, below.
+        `kind` is the access's opcode, "R" or "W".  A range of a known kind
+        that ends at or before the last cell costs two updates.  Any other
+        call is checked, in order: `base_cell` must lie in the ring,
+        `len_cells` must be at least 1 and at most the ring's size (a longer
+        range would overlap itself), and `kind` must be known.  A range that
+        passes wraps the seam, and costs four updates.
         """
         size = self.size_cells
         end = base_cell + len_cells
@@ -67,11 +59,11 @@ class CellCounters:
             deltas[base_cell] += unit
             deltas[end] -= unit
             return
-        if not (0 <= base_cell < size and 1 <= len_cells <= size):
-            if not 0 <= base_cell < size:
-                raise ValueError(f"base_cell {base_cell} outside ring of {size} cells")
-            if len_cells < 1:
-                raise ValueError(f"len_cells must be >= 1, got {len_cells}")
+        if not 0 <= base_cell < size:
+            raise ValueError(f"base_cell {base_cell} outside ring of {size} cells")
+        if len_cells < 1:
+            raise ValueError(f"len_cells must be >= 1, got {len_cells}")
+        if len_cells > size:
             raise ValueError(f"range of {len_cells} cells exceeds ring size {size}")
         try:
             unit = _UNITS[kind]
@@ -97,24 +89,20 @@ class CellCounters:
         `spans` lists (start, cells) arcs of the ring, in any order, which
         may overlap or wrap the seam, such that every range recorded lies
         inside one of them.  Only the cells of the arcs and the cell just
-        past each are read, each once: first those past the seam, where
-        every wrapped piece starts, then the rest in address order.
+        past each are read, each once and in C: first those past the seam,
+        where every wrapped piece starts, then the rest in address order.
+        Everything after that grows with the number of runs, not of cells.
         `[(0, size_cells)]` reads every cell.
         """
         size = self.size_cells
         deltas = self._deltas
-        # each arc ends with the cell just past it; of the arcs from one
-        # start, which many epochs share, only the farthest end matters
-        ends = {}
-        for start, cells in spans:
-            end = start + cells + 1
-            if end > ends.get(start, 0):
-                ends[start] = end
+        # each arc ends with the cell just past it
+        arcs = [(start, start + cells + 1) for start, cells in spans]
         # the cells before `done` are scanned: first those past the seam
-        done = max(0, max(ends.values(), default=0) - size)
+        done = max(0, max([end for _, end in arcs], default=0) - size)
         starts = list(compress(range(done), deltas[:done]))
-        for start in sorted(ends):
-            hi = min(ends[start], size)
+        for start, end in sorted(arcs):
+            hi = min(end, size)
             if hi > done:  # and hi > start, so the stretch is not empty
                 lo = max(start, done)
                 starts.extend(compress(range(lo, hi), deltas[lo:hi]))

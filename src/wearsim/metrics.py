@@ -13,18 +13,9 @@ Wear at the memory sizes a leveling study needs is a step function, so a
 report of millions of cells has a few hundred runs, and the statistics
 cost per run, not per cell; per-cell counts are runs of length 1.  Its
 per-cell reads and writes are CellRuns, read-only views that iterate the
-runs cell by cell and hold no per-cell list.  The top-N table is
-heapq.nlargest over the (count, length) runs of two such views, a report's
-or a loaded percell-csv's: it costs O(runs), however many cells they span.
-The percell-csv export writes one row per cell all the same, but builds
-them per block of 1000 addresses, whose rows differ only in their last
-three digits (in block 0, in the whole address) and in their runs' counts.
-A block past block 0 that one run fills has rows of one width that differ
-only in the digits of its prefix: it is a bytearray of rows built once per
-run text and prefix width, whose prefix digits are set by a strided slice
-assignment each.  Any other block is a join of cached strings, a fixed
-number of C calls however many runs it holds, not a str() per cell;
-load_percell_csv folds adjacent rows of like counts back into runs.
+runs cell by cell and hold no per-cell list.  The top-N table and the
+percell-csv export work per run too, and load_percell_csv folds a
+percell-csv's rows back into runs.
 
 Report formats, each written to a text sink:
 
@@ -163,10 +154,10 @@ def top_n_distribution(reads: CellRuns, writes: CellRuns,
     WearReport and load_percell_csv give; anything else is a ValueError.
     heapq.nlargest picks the n largest (count, length) runs, which cover at
     least n cells, and each count is emitted once per cell of its run until
-    n are out, so the cost is O(runs).  With more runs than n, the n-th
-    largest run count is a floor that every run of the top n cells reaches,
-    so only the runs at or above it, found by a cheaper nlargest over the
-    bare counts, go to that pick.
+    n are out, so the cost is O(runs), however many cells the runs span.
+    Every run of the top n cells reaches the floor, the least of the n
+    largest run counts, so only the runs at or above it, found by a cheaper
+    nlargest over the bare counts, go to that pick.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -175,10 +166,8 @@ def top_n_distribution(reads: CellRuns, writes: CellRuns,
         raise ValueError("top-N reads two CellRuns over one lengths list")
     counts = (writes.values if mode is CountingMode.WRITES
               else list(map(add, reads.values, writes.values)))
-    runs = zip(counts, lengths)
-    if len(lengths) > n:
-        floor = nlargest(n, counts)[-1]
-        runs = [(count, length) for count, length in runs if count >= floor]
+    floor = min(nlargest(n, counts), default=0)
+    runs = [(count, length) for count, length in zip(counts, lengths) if count >= floor]
     top: list[int] = []
     for count, length in nlargest(n, runs):
         top += repeat(count, min(length, n - len(top)))
@@ -284,7 +273,7 @@ def write_percell_csv(report: WearReport, sink) -> None:
     # with each prefix digit set by one slice assignment of every width-th
     # byte.  Any other block is a list of three strings a row, prefix,
     # remainder and text, filled by slice assignment: a fixed number of C
-    # calls, however many runs it holds.
+    # calls, however many runs it holds, not a str() per cell.
     sink.write("address,reads,writes\n")
     lengths, reads, writes = report.run_lengths, report.run_reads, report.run_writes
     run_texts = list(map(_RunTexts().__getitem__, zip(reads, writes)))

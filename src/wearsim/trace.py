@@ -19,14 +19,9 @@ Wire format (UTF-8 text, LF line endings)::
 
 Fields are unsigned ASCII decimals separated by single spaces, and a
 size or length is at least 1.  The table above is the grammar, and the
-only gate on an event line: parse_trace reads an event from a line whose
-field count is its opcode's arity (its branches, on the field count and
-then the opcode, follow `_OPCODE_ARITY`), whose fields parse_uint reads,
-once per distinct text in a parse, and whose size or length is not 0.
-Any other line that is neither blank nor a comment is refused for the
-first of these it breaks, in that order, its fields taken in turn.
-parse_trace reads the format from a ``str`` and format_trace renders it
-to one; callers do their own file I/O and decoding.
+only gate on an event line.  parse_trace reads the format from a ``str``
+and format_trace renders it to one; callers do their own file I/O and
+decoding.
 
 In memory an event is the tuple of its line's fields, opcode first:
 ``("A", id, size)``, ``("F", id)``, ``("R", id, off, len)``,
@@ -112,11 +107,13 @@ def parse_trace(text: str) -> Trace:
     Reads one string, with LF or CRLF line endings.  A line is an event
     when its field count is its opcode's arity: the branches on the field
     count, then the opcode, follow `_OPCODE_ARITY`.  An event's fields are
-    looked up in one table of the texts read so far in this parse, a line
-    with a new text goes through `_read_fields`, and its size or length is
-    checked.  `_refuse_event` refuses any other line that is neither blank
-    nor a comment.  Raises ValueError naming the first offending line: its
-    message ends " at line <n>".
+    looked up in one table of the texts read so far in this parse, so
+    parse_uint reads each distinct text once; a line with a new text goes
+    through `_read_fields`.  Then its size or length is checked.
+    `_refuse_event` refuses any other line that is neither blank nor a
+    comment.  A line is refused for the first of these checks it fails, in
+    that order, its fields taken in turn.  Raises ValueError naming the
+    first offending line: its message ends " at line <n>".
     """
     if "\r" in text:
         # tolerate CRLF input: drop one CR from the end of each line, which

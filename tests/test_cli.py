@@ -567,6 +567,13 @@ class TestReport:
         assert rows[0] == ["rank", "count"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("mode", ["accesses", "writes"])
+    def test_topn_from_a_header_only_percell(self, tmp_path, mode):
+        percell = write_file(tmp_path / "p.csv", "address,reads,writes\n")
+        assert main(["report", percell, "--topn", "4", "--count", mode,
+                     "--out", str(tmp_path / "ext.csv")]) == 0
+        assert (tmp_path / "p_top4.csv").read_text() == "rank,count\n"
+
     def test_same_stem_summaries_are_compared(self, tmp_path):
         trace = write_file(tmp_path / "t.trace", TRIVIAL)
         summaries = []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wearsim.memory import CellCounters
 
@@ -306,13 +306,20 @@ def test_runs_over_a_wrapped_arc_whose_piece_past_the_seam_is_longest():
                                                    [1, 1, 0, 1, 1])
 
 
-def test_runs_over_arcs_that_share_a_start():
-    # the longer arc from cell 1 holds the write at cell 4
+#: Arcs from cell 1, in any order and any number, of which one is (1, 5).
+arcs_from_one_start = st.lists(st.sampled_from([(1, 0), (1, 1), (1, 5)])).flatmap(
+    lambda arcs: st.permutations([*arcs, (1, 5)]))
+
+
+@given(arcs_from_one_start)
+@example([(1, 1), (1, 5), (1, 0)])
+@example([(1, 5)] * 500)  # the shape of a single space's epochs
+def test_runs_over_arcs_that_share_a_start(arcs):
+    # the longest arc from cell 1 holds the write at cell 4
     ring = CellCounters(8)
     ring.record_range(1, 1, "R")
     ring.record_range(4, 1, "W")
-    assert ring.runs([(1, 1), (1, 5), (1, 0)]) == ([1, 1, 2, 1, 3], [0, 1, 0, 0, 0],
-                                                   [0, 0, 0, 1, 0])
+    assert ring.runs(arcs) == ([1, 1, 2, 1, 3], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0])
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])

@@ -183,10 +183,11 @@ class TestTopN:
         assert (top_n_distribution(reads, writes, mode, n)
                 == sorted(counts, reverse=True)[:n])
 
-    # More runs than n: only the runs at or above the n-th largest run
-    # count are ranked, and the runs tied at that floor are among them.
+    # Only the runs at or above the least of the n largest run counts are
+    # ranked, and the runs tied at that floor are among them; with n at or
+    # past the ten runs, the floor keeps every run.
     @pytest.mark.parametrize("mode", list(CountingMode))
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10, 11, 20])
     def test_more_runs_than_n_with_ties_at_the_floor(self, mode, n):
         runs = [(1, 0, 6), (2, 3, 1), (1, 9, 0), (3, 0, 4), (1, 2, 2),
                 (2, 5, 4), (1, 0, 4), (1, 1, 1), (2, 0, 9), (1, 4, 0)]
@@ -194,10 +195,15 @@ class TestTopN:
         cell_reads, cell_writes = cells_of(runs)
         counts = (cell_writes if mode is CountingMode.WRITES
                   else [r + w for r, w in zip(cell_reads, cell_writes)])
-        assert len(runs) > n
         assert (top_n_distribution(report.per_cell_reads, report.per_cell_writes,
                                    mode, n)
                 == sorted(counts, reverse=True)[:n])
+
+    # A header-only percell-csv loads as views over no runs.
+    @pytest.mark.parametrize("mode", list(CountingMode))
+    def test_views_over_no_runs(self, mode):
+        views = load_percell_csv(io.StringIO("address,reads,writes\n"))
+        assert top_n_distribution(*views, mode, 3) == []
 
     def test_plain_lists_are_refused(self):
         with pytest.raises(ValueError, match="^top-N reads two CellRuns"):

@@ -7,6 +7,8 @@ and collection count, or fail on the same event with the same error.
 The generator never reuses an id, so a drawn flag relabels each
 allocation to the smallest id not live at that point, which brings freed
 ids back, often before the next collection.
+Traces drawn event by event, valid by construction but shaped by no
+generator, run the same check in memories of 4 to 240 cells.
 A few traces with few objects also run in memories of 2^20 and 2^21
 cells, where the engine's report is a handful of long runs, and one
 hand-built trace changes the counts in each space's last cells.
@@ -36,6 +38,8 @@ from wearsim.workload import PATTERNS, WorkloadSpec, generate
 REFERENCE_MESSAGES = {"cannot allocate": "out of memory",
                       "exceeds capacity": "object too large"}
 MEMORY_FAILURE = re.compile(rf"event (\d+): .*({'|'.join(REFERENCE_MESSAGES)})")
+#: The six policy kinds; "random" takes a drawn seed.
+KINDS = ["golden", "quarter", "fraction:0.3", "none", "random", "single"]
 
 specs = st.builds(
     WorkloadSpec,
@@ -83,8 +87,7 @@ def assert_same_counts(report, reference):
 # Policy and GC traffic are a fixed grid, so that every pair is exercised
 # in each run; Hypothesis alone draws some pairs rarely.
 @pytest.mark.parametrize("count_gc_traffic", [True, False])
-@pytest.mark.parametrize(
-    "kind", ["golden", "quarter", "fraction:0.3", "none", "random", "single"])
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=25, deadline=None)
 @given(spec=specs, mem_divisor=mem_divisors, random_seed=st.integers(0, 1000),
        reuse=st.booleans())
@@ -93,6 +96,12 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
     policy = f"random:{random_seed}" if kind == "random" else kind
     trace = reuse_ids(generate(spec)) if reuse else generate(spec)
     mem = max(4, trace.header.suggested_mem_size_cells // mem_divisor // 2 * 2)
+    assert_engine_matches_reference(trace, mem, policy, count_gc_traffic)
+
+
+def assert_engine_matches_reference(trace, mem, policy, count_gc_traffic):
+    """The engine and the reference give the same counts, or, when memory
+    runs out, agree up to the event that does it and both refuse it."""
     config = EngineConfig(mem, parse_policy(policy),
                           count_gc_traffic=count_gc_traffic)
 
@@ -111,6 +120,76 @@ def test_engine_matches_reference(kind, count_gc_traffic, spec, mem_divisor,
             reference(trace.events[:index + 1])
         return
     assert_same_counts(report, reference(trace.events))
+
+
+#: Mostly small objects, and some far above their mean size.
+object_sizes = st.one_of(st.integers(1, 8), st.integers(1, 40))
+
+
+@st.composite
+def valid_traces(draw):
+    """Any valid trace, drawn event by event against the live objects.
+
+    An allocation takes a fresh id or a freed one, and `object_sizes`; a
+    free, a read or a write names a live object, and an access lies inside
+    it.  So a collection may follow another, or find no live object.
+    """
+    live: dict[int, int] = {}  # id -> size
+    freed: list[int] = []
+    fresh = 0  # the least id never allocated
+    events = []
+    for _ in range(draw(st.integers(0, 50))):
+        opcode = draw(st.sampled_from("AFRWG" if live else "AG"))
+        if opcode == "A":
+            if freed and draw(st.booleans()):
+                object_id = freed.pop(draw(st.integers(0, len(freed) - 1)))
+            else:
+                object_id, fresh = fresh, fresh + 1
+            live[object_id] = draw(object_sizes)
+            events.append(("A", object_id, live[object_id]))
+        elif opcode == "G":
+            events.append(("G",))
+        else:
+            object_id = draw(st.sampled_from(sorted(live)))
+            if opcode == "F":
+                del live[object_id]
+                freed.append(object_id)
+                events.append(("F", object_id))
+            else:
+                offset = draw(st.integers(0, live[object_id] - 1))
+                length = draw(st.integers(1, live[object_id] - offset))
+                events.append((opcode, object_id, offset, length))
+    return Trace(events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=valid_traces(), mem=st.integers(2, 120).map(lambda half: 2 * half),
+       kind=st.sampled_from(KINDS),
+       random_seed=st.integers(0, 1000), count_gc_traffic=st.booleans())
+# golden's shift in a ring of 10 cells is 3, so ring 1's fourth epoch starts
+# at cell 9: the object copied there wraps the seam, a second one fills the
+# ring exactly, and a third runs out of memory
+@example(trace=Trace([("A", 1, 5), *[("G",)] * 7, ("W", 1, 0, 5), ("A", 2, 5),
+                      ("W", 2, 4, 1), ("R", 1, 3, 2), ("A", 3, 1)]),
+         mem=20, kind="golden", random_seed=0, count_gc_traffic=True)
+# objects that fill a ring of 4 cells exactly, before and after a collection
+# that keeps one of them; two collections in a row and one of no object; then
+# an object of the whole ring, which starts at cell 1 and wraps the seam
+@example(trace=Trace([("A", 1, 2), ("A", 2, 2), ("W", 2, 0, 2), ("F", 1),
+                      ("A", 3, 2), ("W", 3, 1, 1), ("G",), ("G",), ("F", 2),
+                      ("F", 3), ("G",), ("A", 1, 4), ("R", 1, 0, 4)]),
+         mem=8, kind="golden", random_seed=0, count_gc_traffic=True)
+# a collection of no object, a single space of 6 cells filled exactly, a
+# collection of no object that makes room for an object of the whole space,
+# and an object past it
+@example(trace=Trace([("G",), ("A", 1, 3), ("A", 2, 3), ("W", 1, 2, 1), ("F", 1),
+                      ("F", 2), ("A", 1, 6), ("W", 1, 5, 1), ("F", 1),
+                      ("A", 2, 7)]),
+         mem=6, kind="single", random_seed=0, count_gc_traffic=False)
+def test_engine_matches_reference_on_any_valid_trace(trace, mem, kind, random_seed,
+                                                     count_gc_traffic):
+    policy = f"random:{random_seed}" if kind == "random" else kind
+    assert_engine_matches_reference(trace, mem, policy, count_gc_traffic)
 
 
 def collections_of(trace, mem, policy):
@@ -154,8 +233,7 @@ def collections_of(trace, mem, policy):
 churn_specs = specs.map(lambda spec: replace(spec, pattern="churn"))
 
 
-@pytest.mark.parametrize(
-    "kind", ["golden", "quarter", "fraction:0.3", "none", "random", "single"])
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=25, deadline=None)
 @given(spec=churn_specs, mem_divisor=mem_divisors, random_seed=st.integers(0, 1000))
 def test_collections_match_reference(kind, spec, mem_divisor, random_seed):
@@ -236,8 +314,7 @@ small_live_traces = st.builds(
 @settings(deadline=None)
 @given(trace=small_live_traces,
        capacity=st.integers(2048, 8192),
-       kind=st.sampled_from(["golden", "quarter", "fraction:0.3", "none",
-                             "random", "single"]),
+       kind=st.sampled_from(KINDS),
        random_seed=st.integers(0, 1000), count_gc_traffic=st.booleans())
 # an epoch ends at cell 1,023, and so do its write and its collection's read
 @example(trace=Trace([("A", 1, 1024), ("W", 1, 1000, 24), ("G",)]),
