@@ -114,8 +114,8 @@ MUTANTS = [
             "tests/test_metrics.py::TestTopN::test_runs_of_a_huge_report_stay_runs",
             "tests/test_cli.py::TestReport::test_topn_from_percell")),
     Mutant("top-N: the runs at the floor dropped", METRICS,
-           "if count >= floor]",
-           "if count > floor]",
+           "if count >= floor)",
+           "if count > floor)",
            ("tests/test_metrics.py::TestTopN::test_more_runs_than_n_with_ties_at_the_floor[1-accesses]",
             "tests/test_metrics.py::TestTopN::test_more_runs_than_n_with_ties_at_the_floor[4-writes]",
             "tests/test_metrics.py::TestTopN::test_equals_sorted_prefix")),

@@ -167,7 +167,7 @@ def top_n_distribution(reads: CellRuns, writes: CellRuns,
     counts = (writes.values if mode is CountingMode.WRITES
               else list(map(add, reads.values, writes.values)))
     floor = min(nlargest(n, counts), default=0)
-    runs = [(count, length) for count, length in zip(counts, lengths) if count >= floor]
+    runs = ((count, length) for count, length in zip(counts, lengths) if count >= floor)
     top: list[int] = []
     for count, length in nlargest(n, runs):
         top += repeat(count, min(length, n - len(top)))
