@@ -283,7 +283,8 @@ MUTANTS = [
             "tests/test_engine.py::TestReportLayout::test_ring_one_cell_follows_ring_zero",
             "tests/test_engine.py::TestReportLayout::test_single_space_cell_is_its_address")),
     # The trace reader: ASCII digits only, per-opcode arity, sizes of at
-    # least 1, and one CR dropped from the end of each line of CRLF text.
+    # least 1, one CR dropped from the end of each line of CRLF text, and
+    # at most one #mem header.
     Mutant("parse: parse_uint takes any Unicode digit", TRACE,
            "text.isascii() and text.isdigit()",
            "text.isdigit()",
@@ -327,6 +328,12 @@ MUTANTS = [
            ("tests/test_trace.py::TestParse::test_crlf_tolerated",
             "tests/test_trace.py::TestParse::test_crlf_trace_parses_as_lf",
             "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference")),
+    Mutant("parse: a second #mem header kept", TRACE,
+           "if suggested is not None:",
+           "if False:",
+           ("tests/test_trace.py::TestParse::test_second_mem_header_rejected",
+            "tests/test_trace.py::TestAgainstReference::test_parse_matches_reference",
+            "tests/test_cli.py::TestRun::test_second_mem_header_exits_3")),
     # The validator: a parsed opcode is of type str, not a subclass of it.
     Mutant("validate: a str-subclass opcode taken", TRACE,
            "and type(event[0]) is str",
@@ -335,11 +342,10 @@ MUTANTS = [
             "tests/test_trace.py::TestAgainstReference::test_validate_matches_reference")),
     # The generator: draws as randrange, randint and choice make them.
     Mutant("workload: a draw below n not retried", WORKLOAD,
-           "while i >= live:",
-           "if i >= live:",
-           ("tests/test_workload.py::TestSameStream::test_pinned_bytes[churn]",
-            "tests/test_workload.py::TestSameStream::test_pinned_bytes[churn-2000-objects]",
-            "tests/test_workload.py::TestSameStream::test_pinned_bytes[churn-20000-objects]",
+           "while i >= n:",
+           "if i >= n:",
+           ("tests/test_workload.py::TestSameStream::test_pinned_bytes[hotspot-all-hot]",
+            "tests/test_workload.py::TestSameStream::test_pinned_bytes[hotspot-one-object]",
             "tests/test_workload.py::TestSameStream::test_draws_as_the_library_calls")),
     Mutant("workload: churn frees the live id below the one picked", WORKLOAD,
            "del ids[i]",

@@ -9,7 +9,8 @@ and offsets are in cells, the smallest wear-counted unit.
 Wire format (UTF-8 text, LF line endings)::
 
     #! wearsim-trace v1    optional version line (first line only)
-    #mem <N>               optional suggested memory size, in cells
+    #mem <N>               optional suggested memory size, in cells;
+                           at most once
     # anything             comment
     A <id> <size>          allocate <size> cells for object <id>
     F <id>                 free object <id>
@@ -173,6 +174,8 @@ def parse_trace(text: str) -> Trace:
             elif opcode == "#mem":
                 if arity != 2:
                     raise ValueError("malformed #mem header")
+                if suggested is not None:
+                    raise ValueError("duplicate #mem header")
                 suggested = parse_uint(fields[1])
     except ValueError as err:
         raise ValueError(f"{err} at line {line_no}") from None

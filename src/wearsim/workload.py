@@ -19,13 +19,12 @@ derives the ``#mem`` header from the peak and the largest object: a
 memory size the trace can replay in without ever running out, auto-GC
 included.  Every generated trace passes validate_trace.
 
-The stream is read through random() and getrandbits() alone.  A draw
-below n is getrandbits(n.bit_length()), drawn again while it is n or
-more: the rule by which CPython 3.10 to 3.13 serve randrange(n),
-randint(a, b) (a plus a draw below b - a + 1) and choice(seq) (the
-item at a draw below len(seq)).  A draw below 1 still reads the stream
-until it yields 0.  So a trace is byte-identical on each of those
-versions, as tests/test_workload.py pins.
+A draw below n calls randrange(n), which CPython 3.10 to 3.13 serve,
+as they do randint and choice, by one rule: getrandbits(n.bit_length()),
+drawn again while it is n or more, even for n = 1.  Hotspot's
+per-access draws, which the benchmark's hotspot-large set-up measures
+(BENCH_32.json), copy that rule inline.  So a trace is byte-identical
+on each of those versions, as tests/test_workload.py pins.
 """
 
 from __future__ import annotations
@@ -86,37 +85,27 @@ def hot_object_ids(spec: WorkloadSpec) -> frozenset[int]:
     return frozenset(range(1, count + 1))
 
 
-def _sizes(getrandbits, count: int, mean: int) -> list[int]:
+def _sizes(rng: random.Random, count: int, mean: int) -> list[int]:
     """Sizes of objects 1 to `count`, each 1 plus a draw below 2 * mean - 1,
     indexed by object id: a 0 in front."""
-    n = 2 * mean - 1
-    k = n.bit_length()
-    sizes = [0]
-    for _ in range(count):
-        size = getrandbits(k)
-        while size >= n:
-            size = getrandbits(k)
-        sizes.append(size + 1)
-    return sizes
+    randrange, n = rng.randrange, 2 * mean - 1
+    return [0, *(randrange(n) + 1 for _ in range(count))]
 
 
-def _churn(spec: WorkloadSpec, random, getrandbits):
+def _churn(spec: WorkloadSpec, rng: random.Random):
+    random, randrange = rng.random, rng.randrange
     body: list[TraceEvent] = []
     append, sizes = body.append, [0]
     ids: list[int] = []  # the live ids in allocation order, which is ascending
     grow_below = 2 * spec.object_count
     shrink_above = max(1, spec.object_count // 2)
     size_n = 2 * spec.mean_object_size - 1
-    size_k = size_n.bit_length()
     live_cells = peak = 0
     for _ in range(spec.op_count):
         roll = random()
         live = len(ids)
         if not live or (roll < 0.15 and live < grow_below):
-            size = getrandbits(size_k)
-            while size >= size_n:
-                size = getrandbits(size_k)
-            size += 1
+            size = randrange(size_n) + 1
             object_id = len(sizes)
             sizes.append(size)
             ids.append(object_id)
@@ -125,10 +114,7 @@ def _churn(spec: WorkloadSpec, random, getrandbits):
                 peak = live_cells
             append(("A", object_id, size))
         else:
-            k = live.bit_length()
-            i = getrandbits(k)
-            while i >= live:
-                i = getrandbits(k)
+            i = randrange(live)
             object_id = ids[i]
             if roll < 0.30 and live > shrink_above:
                 del ids[i]
@@ -136,22 +122,16 @@ def _churn(spec: WorkloadSpec, random, getrandbits):
                 append(("F", object_id))
             else:
                 size = sizes[object_id]
-                k = size.bit_length()
-                offset = getrandbits(k)
-                while offset >= size:
-                    offset = getrandbits(k)
-                n = size - offset
-                k = n.bit_length()
-                length = getrandbits(k)
-                while length >= n:
-                    length = getrandbits(k)
-                append(("W" if random() < 0.5 else "R", object_id, offset, length + 1))
+                offset = randrange(size)
+                length = randrange(size - offset) + 1
+                append(("W" if random() < 0.5 else "R", object_id, offset, length))
     return body, sizes, peak
 
 
-def _hotspot(spec: WorkloadSpec, random, getrandbits):
+def _hotspot(spec: WorkloadSpec, rng: random.Random):
+    random, getrandbits = rng.random, rng.getrandbits
     allocated = min(spec.object_count, spec.op_count)
-    sizes = _sizes(getrandbits, allocated, spec.mean_object_size)
+    sizes = _sizes(rng, allocated, spec.mean_object_size)
     body: list[TraceEvent] = [("A", object_id, size)
                               for object_id, size in enumerate(sizes[1:], 1)]
     hot = sorted(hot_object_ids(spec))
@@ -179,9 +159,9 @@ def _hotspot(spec: WorkloadSpec, random, getrandbits):
     return body, sizes, sum(sizes)
 
 
-def _loop(spec: WorkloadSpec, random, getrandbits):
+def _loop(spec: WorkloadSpec, rng: random.Random):
     allocated = min(spec.object_count, spec.op_count)
-    sizes = _sizes(getrandbits, allocated, spec.mean_object_size)
+    sizes = _sizes(rng, allocated, spec.mean_object_size)
     body: list[TraceEvent] = [("A", object_id, size)
                               for object_id, size in enumerate(sizes[1:], 1)]
     writes = [("W", object_id, 0, size) for object_id, size in enumerate(sizes[1:], 1)]
@@ -191,9 +171,8 @@ def _loop(spec: WorkloadSpec, random, getrandbits):
 
 def generate(spec: WorkloadSpec) -> Trace:
     """Produce the deterministic trace described by `spec`."""
-    rng = random.Random(spec.seed)
     pattern = {"churn": _churn, "hotspot": _hotspot, "loop": _loop}[spec.pattern]
-    body, sizes, peak = pattern(spec, rng.random, rng.getrandbits)
+    body, sizes, peak = pattern(spec, random.Random(spec.seed))
     every = spec.gc_every
     events: list[TraceEvent] = []
     end = 0

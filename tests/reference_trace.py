@@ -63,6 +63,8 @@ def reference_parse_trace(text: str) -> Trace:
                 if fields[0] == "#mem":
                     if len(fields) != 2:
                         raise ValueError("malformed #mem header")
+                    if suggested is not None:
+                        raise ValueError("duplicate #mem header")
                     suggested = parse_uint(fields[1])
         except ValueError as err:
             raise ValueError(f"{err} at line {line_no}") from None

@@ -167,6 +167,13 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"wearsim: error: {trace}: size must be >= 1 at line 1\n")
 
+    def test_second_mem_header_exits_3(self, tmp_path, capsys):
+        trace = write_file(tmp_path / "two.trace", "#mem 8\n#mem 4\nA 1 1\nW 1 0 1\n")
+        assert main(["run", "--trace", trace, "--policy", "golden"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"wearsim: error: {trace}: duplicate #mem header at line 2\n"
+
     # one trace per live-set rule, each refused by validate_trace alone
     LIVE_SET_FAULTS = [
         ("A 1 3\nA 1 2\n", "event 1: alloc of live object 1"),

@@ -101,6 +101,11 @@ class TestParse:
         with pytest.raises(ValueError, match="^malformed #mem header at line 1$"):
             parse_trace("#mem\n")
 
+    def test_second_mem_header_rejected(self):
+        with pytest.raises(ValueError) as err:
+            parse_trace("#mem 8\n#mem 4\nA 1 1\nW 1 0 1\n")
+        assert str(err.value) == "duplicate #mem header at line 2"
+
     def test_line_numbers_count_comments(self):
         with pytest.raises(ValueError) as err:
             parse_trace("# one\n\n# three\nF 0 extra\n")
@@ -353,6 +358,7 @@ class TestAgainstReference:
     @example("A 1 05")
     @example("R x 2 " + "7" * 4400)  # the bad field first, not the digit limit
     @example("#mem 5\r")
+    @example("#mem 8\n#mem 4\nA 1 1")  # a second header, even a valid one
     @example("A 1 3\r\n\r\r\nG\r\n\r")  # lone CR lines, in and at the end
     def test_parse_matches_reference(self, text):
         try:

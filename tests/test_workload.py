@@ -66,6 +66,19 @@ TRACE_DIGESTS = [
     pytest.param(("loop", 1, 30, 1, 0.1, 4, 7),
                  "f87b34937c7423fe4180c529442aed6c3abe91718eb768503718f9175158284f",
                  id="loop-one-object"),
+    # draws wider than one 32-bit word of the stream
+    pytest.param(("churn", 50, 3000, 2 ** 40, 0.1, 100, 11),
+                 "684c3e5194260567cf13a2b9d76a39c57255b6c54a75c11cf781ac0aadc67ce3",
+                 id="churn-2^40-mean"),
+    pytest.param(("hotspot", 50, 3000, 2 ** 40, 0.1, 100, 12),
+                 "330927b2e45a830a008a25e111a50c3862998ecc36c31d55626deb9f27b17b14",
+                 id="hotspot-2^40-mean"),
+    pytest.param(("loop", 50, 3000, 2 ** 40, 0.1, 100, 13),
+                 "c5a9c861a8717f068d60405afc9503827a506b5d0947f5257d589dcd627b8107",
+                 id="loop-2^40-mean"),
+    pytest.param(("churn", 50, 3000, 2 ** 33 + 1, 0.1, 100, 14),
+                 "9c8ae62f87fbb2ade727a8b4e281ae7537aab84a0e38b154002172069d1ffcbb",
+                 id="churn-2^33+1-mean"),
 ]
 
 
